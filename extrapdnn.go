@@ -96,11 +96,6 @@ type Options struct {
 	// DefaultAdaptCacheSize; a negative value disables caching (every Model
 	// call pays its own adaptation). Reports are bit-identical either way.
 	AdaptCacheSize int
-	// AdaptCacheShards sets the adaptation cache's lock-shard count (rounded
-	// up to a power of two; zero means adaptcache.DefaultShards, 1 restores
-	// a single mutex). More shards reduce lock contention when many workers
-	// hit the same hot signature; contents and results are unaffected.
-	AdaptCacheShards int
 	// NoiseBucketWidth quantizes the estimated adaptation noise range before
 	// it enters the cache signature (zero means
 	// core.DefaultNoiseBucketWidth, 2.5% steps; negative disables
@@ -230,7 +225,6 @@ func newAdaptive(pre *dnnmodel.Modeler, opts Options) (*AdaptiveModeler, error) 
 		},
 		Seed:             opts.Seed,
 		AdaptCacheSize:   cacheSize,
-		AdaptCacheShards: opts.AdaptCacheShards,
 		NoiseBucketWidth: opts.NoiseBucketWidth,
 		AdaptRetries:     opts.AdaptRetries,
 		DisableFallback:  opts.DisableFallback,

@@ -18,10 +18,7 @@
 //
 // The cache is a bounded, concurrency-safe LRU with single-flight creation:
 // concurrent misses on one signature run the expensive adaptation once and
-// share the result. It is sharded by signature hash (NewSharded) so the
-// lookup storm of a streaming campaign — every worker hitting the same hot
-// layout — contends on a per-shard mutex instead of serializing the whole
-// pool through one lock.
+// share the result.
 package adaptcache
 
 import (
@@ -179,26 +176,10 @@ type entry struct {
 	ready chan struct{}
 }
 
-// DefaultShards is the shard count used when NewSharded is asked for the
-// default (and by New). Eight shards keep the per-shard mutex essentially
-// uncontended for the worker counts the campaign pipeline runs at, while a
-// power of two keeps shard selection one mask operation.
-const DefaultShards = 8
-
-// Cache is a bounded LRU of adapted modelers, safe for concurrent use. It is
-// sharded by signature hash: each shard has its own mutex, LRU list and
-// slice of the capacity budget, so concurrent lookups of hot layouts no
-// longer serialize the whole worker pool on one lock. Single-flight creation
-// stays per-shard (a key always hashes to the same shard, so per-shard
-// single-flight is per-key single-flight). The zero value is not usable;
-// construct with New or NewSharded.
+// Cache is a bounded LRU of adapted modelers, safe for concurrent use: one
+// mutex guards the LRU list, the key index and the counters. The zero value
+// is not usable; construct with New.
 type Cache struct {
-	shards []*shard
-	mask   uint64
-}
-
-// shard is one independently locked LRU slice of the cache.
-type shard struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List               // front = most recently used
@@ -206,92 +187,19 @@ type shard struct {
 	stats    Stats
 }
 
-// New returns a cache bounded to capacity entries, sharded DefaultShards
-// ways (clamped so every shard holds at least one entry). It returns nil for
+// New returns a cache bounded to capacity entries. It returns nil for
 // capacity <= 0 — a nil *Cache is the documented "caching disabled" state
 // (GetOrCreate on a nil cache runs create directly, Stats returns zeros), so
 // callers need no branching.
 func New(capacity int) *Cache {
-	return NewSharded(capacity, 0)
-}
-
-// NewSharded is New with an explicit shard count: 0 means DefaultShards, 1
-// restores the single-mutex layout, and other values are rounded up to the
-// next power of two. Shards never exceed the capacity (each shard keeps an
-// LRU budget of at least one entry). Sharding changes only contention and
-// the eviction partition — keys, SeedFor streams and modeling results are
-// identical for every shard count.
-func NewSharded(capacity, shards int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
-	if shards <= 0 {
-		shards = DefaultShards
+	return &Cache{
+		capacity: capacity,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element, capacity),
 	}
-	shards = ceilPow2(shards)
-	for shards > capacity {
-		shards >>= 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	c := &Cache{shards: make([]*shard, shards), mask: uint64(shards - 1)}
-	base, extra := capacity/shards, capacity%shards
-	for i := range c.shards {
-		budget := base
-		if i < extra {
-			budget++
-		}
-		c.shards[i] = &shard{
-			capacity: budget,
-			ll:       list.New(),
-			items:    make(map[string]*list.Element, budget),
-		}
-	}
-	return c
-}
-
-// ceilPow2 rounds n up to the next power of two (n >= 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// shardFor routes a key to its shard. The hash folds the high half into the
-// low bits so the shard index does not reuse the exact low bits SeedFor
-// feeds into the adaptation rng.
-func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	v := h.Sum64()
-	return c.shards[(v^(v>>32))&c.mask]
-}
-
-// Shards returns the effective shard count (0 for the nil cache).
-func (c *Cache) Shards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
-}
-
-// ShardStats returns one Stats snapshot per shard, for distribution
-// diagnostics and tests; Stats returns the aggregate.
-func (c *Cache) ShardStats() []Stats {
-	if c == nil {
-		return nil
-	}
-	out := make([]Stats, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.Lock()
-		out[i] = s.stats
-		out[i].Entries = s.ll.Len()
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // GetOrCreate returns the cached modeler for key, running create at most
@@ -316,16 +224,12 @@ func (c *Cache) GetOrCreateErr(key string, create func() (*dnnmodel.Modeler, err
 	if c == nil {
 		return create()
 	}
-	return c.shardFor(key).getOrCreateErr(key, create)
-}
-
-func (s *shard) getOrCreateErr(key string, create func() (*dnnmodel.Modeler, error)) (*dnnmodel.Modeler, error) {
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
-		s.ll.MoveToFront(el)
-		s.stats.Hits++
-		s.mu.Unlock()
+		c.ll.MoveToFront(el)
+		c.stats.Hits++
+		c.mu.Unlock()
 		obsHits.Inc()
 		waitReady(e)
 		if e.m != nil {
@@ -335,29 +239,29 @@ func (s *shard) getOrCreateErr(key string, create func() (*dnnmodel.Modeler, err
 		return create()
 	}
 	e := &entry{key: key, ready: make(chan struct{})}
-	el := s.ll.PushFront(e)
-	s.items[key] = el
-	s.stats.Misses++
-	s.mu.Unlock()
+	el := c.ll.PushFront(e)
+	c.items[key] = el
+	c.stats.Misses++
+	c.mu.Unlock()
 	obsMisses.Inc()
 
 	defer func() {
-		s.mu.Lock()
+		c.mu.Lock()
 		if e.m == nil {
 			// create failed or panicked: drop the pending entry so later
 			// callers retry instead of inheriting the failure.
-			if cur, ok := s.items[key]; ok && cur == el {
-				delete(s.items, key)
-				s.ll.Remove(el)
+			if cur, ok := c.items[key]; ok && cur == el {
+				delete(c.items, key)
+				c.ll.Remove(el)
 			}
-		} else if cur, ok := s.items[key]; ok && cur == el {
+		} else if cur, ok := c.items[key]; ok && cur == el {
 			// Account the entry only if the LRU bound didn't already evict it
 			// while the adaptation was in flight.
 			e.bytes = sizeOf(e.m)
-			s.stats.Bytes += e.bytes
-			s.evictOverCapLocked()
+			c.stats.Bytes += e.bytes
+			c.evictOverCapLocked()
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		close(e.ready)
 	}()
 	m, err := create()
@@ -374,19 +278,18 @@ func (c *Cache) Get(key string) (*dnnmodel.Modeler, bool) {
 	if c == nil {
 		return nil, false
 	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	el, ok := c.items[key]
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
+		c.stats.Misses++
+		c.mu.Unlock()
 		obsMisses.Inc()
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	s.ll.MoveToFront(el)
-	s.stats.Hits++
-	s.mu.Unlock()
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	c.mu.Unlock()
 	obsHits.Inc()
 	waitReady(e)
 	return e.m, e.m != nil
@@ -408,36 +311,35 @@ func (c *Cache) Put(key string, m *dnnmodel.Modeler) {
 	if c == nil || m == nil {
 		return
 	}
-	s := c.shardFor(key)
 	ready := make(chan struct{})
 	close(ready)
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
 		old := el.Value.(*entry)
-		s.stats.Bytes -= old.bytes
-		s.ll.Remove(el)
-		delete(s.items, key)
+		c.stats.Bytes -= old.bytes
+		c.ll.Remove(el)
+		delete(c.items, key)
 	}
 	e := &entry{key: key, m: m, bytes: sizeOf(m), ready: ready}
-	s.items[key] = s.ll.PushFront(e)
-	s.stats.Bytes += e.bytes
-	s.evictOverCapLocked()
-	s.mu.Unlock()
+	c.items[key] = c.ll.PushFront(e)
+	c.stats.Bytes += e.bytes
+	c.evictOverCapLocked()
+	c.mu.Unlock()
 }
 
-// evictOverCapLocked drops least-recently-used entries until the shard's
-// bound holds. Callers must hold s.mu.
-func (s *shard) evictOverCapLocked() {
-	for s.ll.Len() > s.capacity {
-		el := s.ll.Back()
+// evictOverCapLocked drops least-recently-used entries until the capacity
+// bound holds. Callers must hold c.mu.
+func (c *Cache) evictOverCapLocked() {
+	for c.ll.Len() > c.capacity {
+		el := c.ll.Back()
 		if el == nil {
 			return
 		}
 		e := el.Value.(*entry)
-		s.ll.Remove(el)
-		delete(s.items, e.key)
-		s.stats.Bytes -= e.bytes
-		s.stats.Evictions++
+		c.ll.Remove(el)
+		delete(c.items, e.key)
+		c.stats.Bytes -= e.bytes
+		c.stats.Evictions++
 		obsEvictions.Inc()
 	}
 }
@@ -447,32 +349,21 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
-// Stats returns a snapshot of the counters, aggregated across all shards. A
-// nil cache reports zeros.
+// Stats returns a snapshot of the counters. A nil cache reports zeros.
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	var agg Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		agg.Hits += s.stats.Hits
-		agg.Misses += s.stats.Misses
-		agg.Evictions += s.stats.Evictions
-		agg.Bytes += s.stats.Bytes
-		agg.Entries += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return agg
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Entries = c.ll.Len()
+	return s
 }
 
 // sizeOf approximates the retained bytes of one adapted modeler: the

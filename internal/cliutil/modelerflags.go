@@ -26,7 +26,6 @@ type ModelerFlags struct {
 	Threshold       float64
 	NoFallback      bool
 	AdaptCache      int
-	CacheShards     int
 	NoiseBucket     float64
 	Seed            int64
 	Workers         int
@@ -50,7 +49,6 @@ func RegisterModelerFlags() *ModelerFlags {
 	flag.Float64Var(&f.Threshold, "threshold", core.DefaultNoiseThreshold, "noise level above which the regression modeler is switched off")
 	flag.BoolVar(&f.NoFallback, "no-fallback", false, "fail instead of degrading to the pretrained network or regression on DNN failure")
 	flag.IntVar(&f.AdaptCache, "adapt-cache", 32, "LRU entries of the domain-adaptation cache (0 disables; results are identical either way)")
-	flag.IntVar(&f.CacheShards, "cache-shards", 0, "adaptation-cache lock shards (0 = default 8, 1 = single mutex; results are identical for any value)")
 	flag.Float64Var(&f.NoiseBucket, "noise-bucket", 0, "noise-bucket width for the adaptation cache signature (0 = default 2.5% steps, negative disables quantization)")
 	flag.Int64Var(&f.Seed, "seed", 1, "random seed")
 	flag.IntVar(&f.Workers, "workers", 0, "concurrent modeling workers per profile (0 = GOMAXPROCS); results are identical for any value")
@@ -84,7 +82,6 @@ func (f *ModelerFlags) CoreConfig(disableDNN bool) core.Config {
 		DisableDNN:       disableDNN,
 		Seed:             f.Seed,
 		AdaptCacheSize:   f.AdaptCache,
-		AdaptCacheShards: f.CacheShards,
 		NoiseBucketWidth: f.NoiseBucket,
 		AdaptRetries:     f.AdaptRetries,
 		DisableFallback:  f.NoFallback,

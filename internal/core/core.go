@@ -80,11 +80,6 @@ type Config struct {
 	// the one-adaptation-per-Model-call cost; results are bit-identical
 	// either way because the adaptation is a pure function of the signature.
 	AdaptCacheSize int
-	// AdaptCacheShards sets the adaptation cache's shard count (rounded up
-	// to a power of two). Zero means adaptcache.DefaultShards; 1 restores
-	// the single-mutex layout. Sharding only changes lock granularity —
-	// contents, eviction budget and results are unaffected.
-	AdaptCacheShards int
 	// NoiseBucketWidth quantizes the estimated adaptation noise range before
 	// it enters the task signature and the synthetic data generator. Zero
 	// means DefaultNoiseBucketWidth; a negative value disables quantization
@@ -161,7 +156,7 @@ func New(pretrained *dnnmodel.Modeler, cfg Config) (*Modeler, error) {
 	m := &Modeler{pretrained: pretrained, cfg: cfg}
 	if pretrained != nil && !cfg.DisableDNN && !cfg.DisableAdaptation {
 		m.fp = pretrained.Net.Fingerprint()
-		m.cache = adaptcache.NewSharded(cfg.AdaptCacheSize, cfg.AdaptCacheShards)
+		m.cache = adaptcache.New(cfg.AdaptCacheSize)
 	}
 	return m, nil
 }

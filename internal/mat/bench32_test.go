@@ -8,8 +8,9 @@ import (
 // Kernel benchmarks at the shapes the training loop actually produces
 // (batch 64, layers 11→64→48→43), float64 vs float32 side by side. These are
 // the inputs to the precision fast-path speedup table in docs/PERFORMANCE.md:
-// the f32 twins are allowed a different accumulation schedule, so the ratio
-// here is unrolling + cache-density gain, not just element width.
+// the float32 instantiation dispatches MulTo and MulATTo to SIMD assembly on
+// capable hosts, so the ratio here is SIMD + cache-density gain, not just
+// element width.
 
 func benchMat(rng *rand.Rand, rows, cols int) *Matrix {
 	m := New(rows, cols)
@@ -17,6 +18,13 @@ func benchMat(rng *rand.Rand, rows, cols int) *Matrix {
 		m.Data()[i] = rng.NormFloat64()
 	}
 	return m
+}
+
+// to32 returns a float32 copy of m.
+func to32(m *Matrix) *Dense[float32] {
+	c := NewDense[float32](m.Rows(), m.Cols())
+	Convert(c, m)
+	return c
 }
 
 var kernelShapes = []struct {
@@ -33,9 +41,9 @@ func BenchmarkMulTo(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		a := benchMat(rng, s.m, s.k)
 		bb := benchMat(rng, s.k, s.n)
-		a32, b32 := a.To32(), bb.To32()
+		a32, b32 := to32(a), to32(bb)
 		out := New(s.m, s.n)
-		out32 := New32(s.m, s.n)
+		out32 := NewDense[float32](s.m, s.n)
 		b.Run(s.name+"/float64", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -45,7 +53,7 @@ func BenchmarkMulTo(b *testing.B) {
 		b.Run(s.name+"/float32", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MulTo32(out32, a32, b32)
+				MulTo(out32, a32, b32)
 			}
 		})
 	}
@@ -56,9 +64,9 @@ func BenchmarkMulATTo(b *testing.B) {
 		rng := rand.New(rand.NewSource(2))
 		a := benchMat(rng, s.m, s.k)
 		bb := benchMat(rng, s.m, s.n)
-		a32, b32 := a.To32(), bb.To32()
+		a32, b32 := to32(a), to32(bb)
 		out := New(s.k, s.n)
-		out32 := New32(s.k, s.n)
+		out32 := NewDense[float32](s.k, s.n)
 		b.Run(s.name+"/float64", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -68,7 +76,7 @@ func BenchmarkMulATTo(b *testing.B) {
 		b.Run(s.name+"/float32", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MulATTo32(out32, a32, b32)
+				MulATTo(out32, a32, b32)
 			}
 		})
 	}
@@ -79,9 +87,9 @@ func BenchmarkMulBTTo(b *testing.B) {
 		rng := rand.New(rand.NewSource(3))
 		a := benchMat(rng, s.m, s.k)
 		bb := benchMat(rng, s.n, s.k)
-		a32, b32 := a.To32(), bb.To32()
+		a32, b32 := to32(a), to32(bb)
 		out := New(s.m, s.n)
-		out32 := New32(s.m, s.n)
+		out32 := NewDense[float32](s.m, s.n)
 		b.Run(s.name+"/float64", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -91,7 +99,7 @@ func BenchmarkMulBTTo(b *testing.B) {
 		b.Run(s.name+"/float32", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MulBTTo32(out32, a32, b32)
+				MulBTTo(out32, a32, b32)
 			}
 		})
 	}

@@ -11,8 +11,8 @@ const fusedBlock = 64
 
 // MulAT returns aᵀ·b without materializing the transpose.
 // It panics unless a and b have the same number of rows.
-func MulAT(a, b *Matrix) *Matrix {
-	out := New(a.cols, b.cols)
+func MulAT[T Float](a, b *Dense[T]) *Dense[T] {
+	out := NewDense[T](a.cols, b.cols)
 	MulATTo(out, a, b)
 	return out
 }
@@ -24,7 +24,7 @@ func MulAT(a, b *Matrix) *Matrix {
 // a.cols×b.cols and must not alias a or b. Large products are split across
 // GOMAXPROCS goroutines by output row, following the same parallelThreshold
 // policy as MulTo.
-func MulATTo(out, a, b *Matrix) {
+func MulATTo[T Float](out, a, b *Dense[T]) {
 	if a.rows != b.rows {
 		panic(fmt.Sprintf("mat: MulATTo dimension mismatch %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
@@ -44,11 +44,16 @@ func MulATTo(out, a, b *Matrix) {
 // (rows of a and b) is unrolled four-wide with the same accumulation order as
 // mulRange, so MulATTo(out, a, b) is bit-identical to MulTo(out, a.T(), b).
 // Output rows are processed in fusedBlock tiles so the accumulating tile
-// stays cached across the full sweep of the shared dimension.
-func mulATRange(out, a, b *Matrix, lo, hi int) {
+// stays cached across the full sweep of the shared dimension. float32
+// products take the SIMD path instead when the host has one.
+func mulATRange[T Float](out, a, b *Dense[T], lo, hi int) {
 	n := b.cols
 	ka := a.cols
 	rows := a.rows
+	if o, ok := any(out).(*Dense[float32]); ok && useFMA && n >= 8 && rows > 0 {
+		mulATRangeFMA(o, any(a).(*Dense[float32]), any(b).(*Dense[float32]), lo, hi)
+		return
+	}
 	for k := lo; k < hi; k++ {
 		ok := out.data[k*n : k*n+n]
 		for j := range ok {
@@ -96,8 +101,8 @@ func mulATRange(out, a, b *Matrix, lo, hi int) {
 
 // MulBT returns a·bᵀ without materializing the transpose.
 // It panics unless a and b have the same number of columns.
-func MulBT(a, b *Matrix) *Matrix {
-	out := New(a.rows, b.rows)
+func MulBT[T Float](a, b *Dense[T]) *Dense[T] {
+	out := NewDense[T](a.rows, b.rows)
 	MulBTTo(out, a, b)
 	return out
 }
@@ -109,7 +114,7 @@ func MulBT(a, b *Matrix) *Matrix {
 // a.rows×b.rows and must not alias a or b. Large products are split across
 // GOMAXPROCS goroutines by output row, following the same parallelThreshold
 // policy as MulTo.
-func MulBTTo(out, a, b *Matrix) {
+func MulBTTo[T Float](out, a, b *Dense[T]) {
 	if a.cols != b.cols {
 		panic(fmt.Sprintf("mat: MulBTTo dimension mismatch %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
@@ -127,33 +132,54 @@ func MulBTTo(out, a, b *Matrix) {
 
 // mulBTRange computes output rows [lo,hi) of out = a·bᵀ as row-by-row dot
 // products, tiling the rows of b in fusedBlock chunks so each chunk is reused
-// across every output row before eviction. The dot products accumulate in
-// chunks of four with single-element leftovers — the same order as mulRange —
-// so MulBTTo(out, a, b) is bit-identical to MulTo(out, a, b.T()).
-func mulBTRange(out, a, b *Matrix, lo, hi int) {
+// across every output row before eviction. A 1×4 micro-kernel advances four
+// output dots together over one row of a: four independent accumulation
+// chains instead of one stalled on FP-add latency, and each a element loaded
+// once for four products. Every dot still accumulates in chunks of four with
+// single-element leftovers — the same order as mulRange — so MulBTTo(out, a,
+// b) is bit-identical to MulTo(out, a, b.T()).
+func mulBTRange[T Float](out, a, b *Dense[T], lo, hi int) {
 	p := b.rows
 	kk := a.cols
 	for j0 := 0; j0 < p; j0 += fusedBlock {
-		j1 := j0 + fusedBlock
-		if j1 > p {
-			j1 = p
-		}
+		j1 := min(j0+fusedBlock, p)
 		for i := lo; i < hi; i++ {
-			ai := a.data[i*kk : i*kk+kk]
+			// The [:kk] reslices pin every row to one length so the compiler
+			// can drop the bounds checks of the unrolled loops.
+			u := a.data[i*kk : i*kk+kk][:kk]
 			oi := out.data[i*p : i*p+p]
-			for j := j0; j < j1; j++ {
-				bj := b.data[j*kk : j*kk+kk]
-				// Walking shrinking subslices (instead of indexing with
-				// k..k+3) lets the compiler drop all bounds checks from the
-				// unrolled dot product.
-				u, v := ai, bj
-				s := 0.0
-				for len(u) >= 4 && len(v) >= 4 {
-					s += u[0]*v[0] + u[1]*v[1] + u[2]*v[2] + u[3]*v[3]
-					u, v = u[4:], v[4:]
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				v0 := b.data[j*kk : j*kk+kk][:kk]
+				v1 := b.data[(j+1)*kk : (j+1)*kk+kk][:kk]
+				v2 := b.data[(j+2)*kk : (j+2)*kk+kk][:kk]
+				v3 := b.data[(j+3)*kk : (j+3)*kk+kk][:kk]
+				var s0, s1, s2, s3 T
+				k := 0
+				for ; k+4 <= kk; k += 4 {
+					u0, u1, u2, u3 := u[k], u[k+1], u[k+2], u[k+3]
+					s0 += u0*v0[k] + u1*v0[k+1] + u2*v0[k+2] + u3*v0[k+3]
+					s1 += u0*v1[k] + u1*v1[k+1] + u2*v1[k+2] + u3*v1[k+3]
+					s2 += u0*v2[k] + u1*v2[k+1] + u2*v2[k+2] + u3*v2[k+3]
+					s3 += u0*v3[k] + u1*v3[k+1] + u2*v3[k+2] + u3*v3[k+3]
 				}
-				for k, uk := range u {
-					s += uk * v[k]
+				for ; k < kk; k++ {
+					s0 += u[k] * v0[k]
+					s1 += u[k] * v1[k]
+					s2 += u[k] * v2[k]
+					s3 += u[k] * v3[k]
+				}
+				oi[j], oi[j+1], oi[j+2], oi[j+3] = s0, s1, s2, s3
+			}
+			for ; j < j1; j++ {
+				x, y := u, b.data[j*kk:j*kk+kk]
+				var s T
+				for len(x) >= 4 && len(y) >= 4 {
+					s += x[0]*y[0] + x[1]*y[1] + x[2]*y[2] + x[3]*y[3]
+					x, y = x[4:], y[4:]
+				}
+				for k, xk := range x {
+					s += xk * y[k]
 				}
 				oi[j] = s
 			}

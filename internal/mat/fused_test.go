@@ -131,23 +131,3 @@ func TestFusedDimensionPanics(t *testing.T) {
 		}()
 	}
 }
-
-func benchFused(b *testing.B, n int, fused func(out, x, y *Matrix)) {
-	rng := rand.New(rand.NewSource(5))
-	x := randomMatrix(rng, n, n)
-	y := randomMatrix(rng, n, n)
-	out := New(n, n)
-	b.SetBytes(int64(8 * n * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fused(out, x, y)
-	}
-}
-
-func BenchmarkMulATTo64(b *testing.B)   { benchFused(b, 64, MulATTo) }
-func BenchmarkMulATTo256(b *testing.B)  { benchFused(b, 256, MulATTo) }
-func BenchmarkMulATTo1024(b *testing.B) { benchFused(b, 1024, MulATTo) }
-func BenchmarkMulBTTo64(b *testing.B)   { benchFused(b, 64, MulBTTo) }
-func BenchmarkMulBTTo256(b *testing.B)  { benchFused(b, 256, MulBTTo) }
-func BenchmarkMulBTTo1024(b *testing.B) { benchFused(b, 1024, MulBTTo) }

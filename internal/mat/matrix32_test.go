@@ -8,12 +8,14 @@ import (
 
 // randPair returns a float64 matrix of small random values and its float32
 // downcast, so kernel outputs can be compared across precisions.
-func randPair(rng *rand.Rand, rows, cols int) (*Matrix, *Matrix32) {
+func randPair(rng *rand.Rand, rows, cols int) (*Matrix, *Dense[float32]) {
 	m := New(rows, cols)
 	for i := range m.Data() {
 		m.Data()[i] = rng.NormFloat64()
 	}
-	return m, m.To32()
+	m32 := NewDense[float32](rows, cols)
+	Convert(m32, m)
+	return m, m32
 }
 
 // relTol is the parity tolerance of the float32 kernels against float64: the
@@ -21,7 +23,7 @@ func randPair(rng *rand.Rand, rows, cols int) (*Matrix, *Matrix32) {
 // rounding stays well inside 1e-3 relative on unit-scale data.
 const relTol = 1e-3
 
-func maxAbsDiff(got *Matrix32, want *Matrix) float64 {
+func maxAbsDiff(got *Dense[float32], want *Matrix) float64 {
 	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
 		return math.Inf(1)
 	}
@@ -40,9 +42,9 @@ func TestMulTo32MatchesFloat64(t *testing.T) {
 		a, a32 := randPair(rng, dims[0], dims[1])
 		b, b32 := randPair(rng, dims[1], dims[2])
 		want := Mul(a, b)
-		got := Mul32(a32, b32)
+		got := Mul(a32, b32)
 		if d := maxAbsDiff(got, want); d > relTol {
-			t.Errorf("MulTo32 %v: max abs diff %g", dims, d)
+			t.Errorf("float32 MulTo %v: max abs diff %g", dims, d)
 		}
 	}
 }
@@ -53,10 +55,10 @@ func TestMulATTo32MatchesFloat64(t *testing.T) {
 		a, a32 := randPair(rng, dims[0], dims[1])
 		b, b32 := randPair(rng, dims[0], dims[2])
 		want := MulAT(a, b)
-		got := New32(dims[1], dims[2])
-		MulATTo32(got, a32, b32)
+		got := NewDense[float32](dims[1], dims[2])
+		MulATTo(got, a32, b32)
 		if d := maxAbsDiff(got, want); d > relTol {
-			t.Errorf("MulATTo32 %v: max abs diff %g", dims, d)
+			t.Errorf("float32 MulATTo %v: max abs diff %g", dims, d)
 		}
 	}
 }
@@ -67,10 +69,10 @@ func TestMulBTTo32MatchesFloat64(t *testing.T) {
 		a, a32 := randPair(rng, dims[0], dims[1])
 		b, b32 := randPair(rng, dims[2], dims[1])
 		want := MulBT(a, b)
-		got := New32(dims[0], dims[2])
-		MulBTTo32(got, a32, b32)
+		got := NewDense[float32](dims[0], dims[2])
+		MulBTTo(got, a32, b32)
 		if d := maxAbsDiff(got, want); d > relTol {
-			t.Errorf("MulBTTo32 %v: max abs diff %g", dims, d)
+			t.Errorf("float32 MulBTTo %v: max abs diff %g", dims, d)
 		}
 	}
 }
@@ -82,10 +84,10 @@ func TestMulTo32SerialParallelIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	_, a := randPair(rng, 130, 257)
 	_, b := randPair(rng, 257, 65)
-	serial := New32(130, 65)
-	mulRange32(serial, a, b, 0, 130)
-	parallel := New32(130, 65)
-	MulTo32(parallel, a, b)
+	serial := NewDense[float32](130, 65)
+	mulRange(serial, a, b, 0, 130)
+	parallel := NewDense[float32](130, 65)
+	MulTo(parallel, a, b)
 	for i, v := range serial.Data() {
 		if parallel.Data()[i] != v {
 			t.Fatalf("element %d differs: serial %v parallel %v", i, v, parallel.Data()[i])
@@ -96,33 +98,33 @@ func TestMulTo32SerialParallelIdentical(t *testing.T) {
 func TestMatrix32Conversions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, m32 := randPair(rng, 4, 3)
-	back := m32.To64()
+	for i, v := range m32.Data() {
+		if v != float32(m.Data()[i]) {
+			t.Fatalf("downcast element %d: %v vs %v", i, v, m.Data()[i])
+		}
+	}
+	back := New(4, 3)
+	Convert(back, m32)
 	for i, v := range back.Data() {
-		if float32(m.Data()[i]) != float32(v) {
-			t.Fatalf("round-trip element %d: %v vs %v", i, m.Data()[i], v)
-		}
-	}
-	dst := New32(4, 3)
-	Convert32(dst, m)
-	for i, v := range dst.Data() {
-		if v != m32.Data()[i] {
-			t.Fatalf("Convert32 element %d: %v vs %v", i, v, m32.Data()[i])
-		}
-	}
-	dst64 := New(4, 3)
-	Convert64(dst64, m32)
-	for i, v := range dst64.Data() {
 		if v != float64(m32.Data()[i]) {
-			t.Fatalf("Convert64 element %d: %v", i, v)
+			t.Fatalf("upcast element %d: %v", i, v)
 		}
 	}
-	if !m32.Equal64(back, 0) {
-		t.Fatal("Equal64 rejects exact upcast")
+	again := NewDense[float32](4, 3)
+	Convert(again, back)
+	if !again.Equal(m32, 0) {
+		t.Fatal("float32 -> float64 -> float32 round trip is not exact")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Convert shape mismatch did not panic")
+		}
+	}()
+	Convert(New(3, 4), m32)
 }
 
 func TestMatrix32Basics(t *testing.T) {
-	m := New32(2, 3)
+	m := NewDense[float32](2, 3)
 	m.Set(1, 2, 5)
 	if m.At(1, 2) != 5 {
 		t.Fatal("Set/At")
@@ -142,7 +144,7 @@ func TestMatrix32Basics(t *testing.T) {
 	if m.At(1, 2) != 10 {
 		t.Fatal("Scale")
 	}
-	b := New32(2, 3)
+	b := NewDense[float32](2, 3)
 	b.Set(1, 2, 1)
 	m.AddScaled(3, b)
 	if m.At(1, 2) != 13 {
@@ -155,8 +157,8 @@ func TestMatrix32Basics(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MulTo32 shape mismatch did not panic")
+			t.Fatal("float32 MulTo shape mismatch did not panic")
 		}
 	}()
-	MulTo32(New32(2, 2), New32(2, 3), New32(2, 3))
+	MulTo(NewDense[float32](2, 2), NewDense[float32](2, 3), NewDense[float32](2, 3))
 }

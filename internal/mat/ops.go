@@ -14,18 +14,18 @@ const parallelThreshold = 64 * 64 * 64
 
 // Mul returns a*b. It panics if the inner dimensions disagree.
 // Large products are computed in parallel across GOMAXPROCS goroutines.
-func Mul(a, b *Matrix) *Matrix {
+func Mul[T Float](a, b *Dense[T]) *Dense[T] {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	out := New(a.rows, b.cols)
+	out := NewDense[T](a.rows, b.cols)
 	MulTo(out, a, b)
 	return out
 }
 
 // MulTo computes out = a*b into a preallocated matrix, avoiding allocation in
 // hot loops. out must be a.rows×b.cols and must not alias a or b.
-func MulTo(out, a, b *Matrix) {
+func MulTo[T Float](out, a, b *Dense[T]) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: MulTo dimension mismatch %dx%d by %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
@@ -79,10 +79,15 @@ func parallelRows(rows int, fn func(lo, hi int)) {
 // four-wide so each output element is loaded and stored once per four
 // multiply-adds; the accumulation order (chunks of four, then single
 // leftovers) is shared with mulATRange and mulBTRange so the fused kernels
-// are bit-identical to MulTo on an explicitly transposed operand.
-func mulRange(out, a, b *Matrix, lo, hi int) {
+// are bit-identical to MulTo on an explicitly transposed operand. float32
+// products take the SIMD path instead when the host has one.
+func mulRange[T Float](out, a, b *Dense[T], lo, hi int) {
 	n := b.cols
 	kk := a.cols
+	if o, ok := any(out).(*Dense[float32]); ok && useFMA && n >= 8 && kk > 0 {
+		mulRangeFMA(o, any(a).(*Dense[float32]), any(b).(*Dense[float32]), lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		// The [:n] reslices pin every row to the same length as the output
 		// row, letting the compiler drop the per-element bounds checks in the

@@ -1,6 +1,6 @@
-// AVX2+FMA kernels for the float32 fast path. Only the float32 twins use
-// these: the float64 kernels carry a bit-identical accumulation-order pin and
-// stay pure Go. Each routine is a NOSPLIT leaf over caller-validated slices,
+// AVX2+FMA kernels for the float32 fast path. Only the float32
+// instantiations of the generic kernels use these: the float64 kernels carry
+// a bit-identical accumulation-order pin and stay pure Go. Each routine is a NOSPLIT leaf over caller-validated slices,
 // processes full eight-lane stripes, and leaves sub-stripe tails to scalar Go
 // (dotCols32 / Tanh32), so no masked loads are needed.
 

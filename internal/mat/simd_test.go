@@ -25,15 +25,16 @@ func TestSIMDKernelParity(t *testing.T) {
 		t.Skip("no SIMD on this host; nothing to compare")
 	}
 	rng := rand.New(rand.NewSource(7))
-	shapes := []struct{ m, k, n int }{
+	shapes := []kernelShape{
 		{1, 1, 1}, {1, 1, 8}, {1, 1, 9}, {3, 5, 7}, {4, 8, 8},
 		{5, 7, 12}, {8, 9, 16}, {16, 43, 48}, {64, 48, 43}, {2, 64, 33},
 	}
+	shapes = append(shapes, trainingShapes(testing.Short())...)
 	const tol = 1e-4
 	for _, s := range shapes {
-		a := New32(s.m, s.k)
-		b := New32(s.k, s.n)
-		bt := New32(s.n, s.k)
+		a := NewDense[float32](s.m, s.k)
+		b := NewDense[float32](s.k, s.n)
+		bt := NewDense[float32](s.n, s.k)
 		for i := range a.data {
 			a.data[i] = float32(rng.NormFloat64())
 		}
@@ -44,7 +45,7 @@ func TestSIMDKernelParity(t *testing.T) {
 			bt.data[i] = float32(rng.NormFloat64())
 		}
 
-		check := func(name string, got, want *Matrix32) {
+		check := func(name string, got, want *Dense[float32]) {
 			t.Helper()
 			for i, g := range got.data {
 				w := want.data[i]
@@ -54,27 +55,27 @@ func TestSIMDKernelParity(t *testing.T) {
 			}
 		}
 
-		simd, scalar := New32(s.m, s.n), New32(s.m, s.n)
-		MulTo32(simd, a, b)
-		withScalarKernels(func() { MulTo32(scalar, a, b) })
-		check("MulTo32", simd, scalar)
+		simd, scalar := NewDense[float32](s.m, s.n), NewDense[float32](s.m, s.n)
+		MulTo(simd, a, b)
+		withScalarKernels(func() { MulTo(scalar, a, b) })
+		check("MulTo", simd, scalar)
 
-		// MulATTo32 contracts a.rows with b.rows, so build a matching b.
-		bm := New32(s.m, s.n)
+		// MulATTo contracts a.rows with b.rows, so build a matching b.
+		bm := NewDense[float32](s.m, s.n)
 		for i := range bm.data {
 			bm.data[i] = float32(rng.NormFloat64())
 		}
-		atSIMD := New32(s.k, s.n)
-		atRef := New32(s.k, s.n)
-		MulATTo32(atSIMD, a, bm)
-		withScalarKernels(func() { MulATTo32(atRef, a, bm) })
-		check("MulATTo32", atSIMD, atRef)
+		atSIMD := NewDense[float32](s.k, s.n)
+		atRef := NewDense[float32](s.k, s.n)
+		MulATTo(atSIMD, a, bm)
+		withScalarKernels(func() { MulATTo(atRef, a, bm) })
+		check("MulATTo", atSIMD, atRef)
 
-		btSIMD := New32(s.m, s.n)
-		btRef := New32(s.m, s.n)
-		MulBTTo32(btSIMD, a, bt)
-		withScalarKernels(func() { MulBTTo32(btRef, a, bt) })
-		check("MulBTTo32", btSIMD, btRef)
+		btSIMD := NewDense[float32](s.m, s.n)
+		btRef := NewDense[float32](s.m, s.n)
+		MulBTTo(btSIMD, a, bt)
+		withScalarKernels(func() { MulBTTo(btRef, a, bt) })
+		check("MulBTTo", btSIMD, btRef)
 	}
 }
 
@@ -86,20 +87,20 @@ func TestSIMDKernelDeterminism(t *testing.T) {
 		t.Skip("no SIMD on this host")
 	}
 	rng := rand.New(rand.NewSource(9))
-	a := New32(37, 29)
-	b := New32(29, 23)
+	a := NewDense[float32](37, 29)
+	b := NewDense[float32](29, 23)
 	for i := range a.data {
 		a.data[i] = float32(rng.NormFloat64())
 	}
 	for i := range b.data {
 		b.data[i] = float32(rng.NormFloat64())
 	}
-	serial := New32(37, 23)
-	mulRange32(serial, a, b, 0, 37)
-	split := New32(37, 23)
-	mulRange32(split, a, b, 0, 11)
-	mulRange32(split, a, b, 11, 12)
-	mulRange32(split, a, b, 12, 37)
+	serial := NewDense[float32](37, 23)
+	mulRange(serial, a, b, 0, 37)
+	split := NewDense[float32](37, 23)
+	mulRange(split, a, b, 0, 11)
+	mulRange(split, a, b, 11, 12)
+	mulRange(split, a, b, 12, 37)
 	for i := range serial.data {
 		if serial.data[i] != split.data[i] {
 			t.Fatalf("element %d: serial %v split %v (SIMD rows must not depend on range splits)", i, serial.data[i], split.data[i])

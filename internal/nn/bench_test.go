@@ -35,17 +35,9 @@ func BenchmarkTrainBatch(b *testing.B) {
 	net := benchNet(rng)
 	const batchSize = 64
 	x, labels := benchData(rng, 4*batchSize)
-	states := make([]*optState, len(net.Layers))
-	for i, l := range net.Layers {
-		states[i] = &optState{
-			mW: mat.New(l.W.Rows(), l.W.Cols()),
-			vW: mat.New(l.W.Rows(), l.W.Cols()),
-			mB: make([]float64, len(l.B)),
-			vB: make([]float64, len(l.B)),
-		}
-	}
+	states := newOptStates(net.Layers)
 	opts := TrainOptions{BatchSize: batchSize}.withDefaults()
-	ws := newTrainWorkspace(net, x, batchSize, 0, 0, 0, false)
+	ws := newTrainWorkspace(net.Layers, x, batchSize, 0, 0, 0, false)
 	batch := make([]int, batchSize)
 	for i := range batch {
 		batch[i] = i
@@ -53,7 +45,7 @@ func BenchmarkTrainBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.trainBatch(x, labels, batch, states, opts, rng, ws)
+		trainBatch(net.Layers, x, labels, batch, states, opts, rng, ws)
 	}
 }
 
@@ -64,17 +56,9 @@ func BenchmarkTrainBatchDropout(b *testing.B) {
 	net := benchNet(rng)
 	const batchSize = 64
 	x, labels := benchData(rng, 4*batchSize)
-	states := make([]*optState, len(net.Layers))
-	for i, l := range net.Layers {
-		states[i] = &optState{
-			mW: mat.New(l.W.Rows(), l.W.Cols()),
-			vW: mat.New(l.W.Rows(), l.W.Cols()),
-			mB: make([]float64, len(l.B)),
-			vB: make([]float64, len(l.B)),
-		}
-	}
+	states := newOptStates(net.Layers)
 	opts := TrainOptions{BatchSize: batchSize, Dropout: 0.2}.withDefaults()
-	ws := newTrainWorkspace(net, x, batchSize, 0, 0, 0, true)
+	ws := newTrainWorkspace(net.Layers, x, batchSize, 0, 0, 0, true)
 	batch := make([]int, batchSize)
 	for i := range batch {
 		batch[i] = i
@@ -82,7 +66,7 @@ func BenchmarkTrainBatchDropout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.trainBatch(x, labels, batch, states, opts, rng, ws)
+		trainBatch(net.Layers, x, labels, batch, states, opts, rng, ws)
 	}
 }
 
@@ -92,11 +76,11 @@ func BenchmarkForwardInference(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	net := benchNet(rng)
 	x, _ := benchData(rng, 256)
-	buf := net.newInferBuffers(x.Rows())
+	buf := newForwarder(net.Layers, x.Rows())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.forwardOutput(x, buf)
+		buf.run(x, false)
 	}
 }
 
@@ -113,7 +97,7 @@ func BenchmarkTrainEpochs(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainEpochsF32 is the float32 twin of BenchmarkTrainEpochs — the
+// BenchmarkTrainEpochsF32 is BenchmarkTrainEpochs at Float32 precision — the
 // precision fast-path speedup recorded in docs/PERFORMANCE.md is the ratio of
 // the two.
 func BenchmarkTrainEpochsF32(b *testing.B) {

@@ -79,16 +79,16 @@ func TestTrainStatsErrNonFiniteFinalLoss(t *testing.T) {
 func TestWeightsHealthy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := NewNetwork([]int{2, 3, 2}, rng)
-	if !net.weightsHealthy() {
+	if !weightsHealthy(net.Layers) {
 		t.Fatal("fresh Glorot weights must be healthy")
 	}
 	net.Layers[0].W.Set(0, 0, math.Inf(1))
-	if net.weightsHealthy() {
+	if weightsHealthy(net.Layers) {
 		t.Fatal("Inf weight must be unhealthy")
 	}
 	net.Layers[0].W.Set(0, 0, 0)
 	net.Layers[1].B[0] = 2 * WeightExplosionLimit
-	if net.weightsHealthy() {
+	if weightsHealthy(net.Layers) {
 		t.Fatal("exploded bias must be unhealthy")
 	}
 }

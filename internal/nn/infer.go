@@ -16,29 +16,16 @@ import (
 // A Float64 session computes each output row independently with exactly the
 // accumulation order of Predict, so batching rows through Forward is
 // bit-identical to calling Predict per row (pinned by
-// TestInferSessionMatchesPredict). A Float32 session mirrors the weights into
-// float32 once at construction and runs the float32 kernels, trading ~1e-3
-// relative rounding for about half the memory traffic (DESIGN.md §11).
+// TestInferSessionMatchesPredict). A Float32 session converts the weights to
+// float32 once at construction and runs the same forward pass at float32,
+// trading ~1e-3 relative rounding for about half the memory traffic
+// (DESIGN.md §11).
 type InferSession struct {
-	net     *Network
-	prec    Precision
-	maxRows int
-
-	// Float64 state: shared ping-pong backing plus per-row-count layer views.
-	ping, pong []float64
-	views      map[int][]*mat.Matrix
-
-	// Float32 state: weight mirror, input/activation/output backing and the
-	// corresponding per-row-count views. out64 carries the upcast result so
-	// callers see float64 regardless of the session precision.
-	net32    *network32
-	in32     []float32
-	ping32   []float32
-	pong32   []float32
-	inViews  map[int]*mat.Matrix32
-	views32  map[int][]*mat.Matrix32
-	out64    []float64
-	outViews map[int]*mat.Matrix
+	net  *Network
+	prec Precision
+	// Exactly one forwarder is set, matching prec.
+	f64 *forwarder[float64]
+	f32 *forwarder[float32]
 
 	// Classification scratch: TopKBatch's ranking index buffer and the arena
 	// its per-row class slices point into, reused across calls.
@@ -58,44 +45,33 @@ func (n *Network) NewInferSession(maxRows int, prec Precision) *InferSession {
 	}
 	s := &InferSession{net: n, prec: prec}
 	if prec == Float32 {
-		s.net32 = newNetwork32(n)
+		layers, _ := workingLayers[float32](n)
+		s.f32 = newForwarder(layers, maxRows)
+	} else {
+		s.f64 = newForwarder(n.Layers, maxRows)
 	}
-	s.grow(maxRows)
 	return s
 }
 
 // MaxRows returns the current allocation-free batch capacity.
-func (s *InferSession) MaxRows() int { return s.maxRows }
+func (s *InferSession) MaxRows() int {
+	if s.f32 != nil {
+		return s.f32.maxRows
+	}
+	return s.f64.maxRows
+}
 
 // Precision returns the arithmetic width the session runs at.
 func (s *InferSession) Precision() Precision { return s.prec }
 
-// grow (re)allocates backing for the given capacity and drops cached views.
-func (s *InferSession) grow(maxRows int) {
-	s.maxRows = maxRows
-	var even, odd int
-	for i, l := range s.net.Layers {
-		w := maxRows * l.Out()
-		if i%2 == 0 && w > even {
-			even = w
-		}
-		if i%2 == 1 && w > odd {
-			odd = w
-		}
+// check validates a batch before it reaches the forwarders.
+func (s *InferSession) check(x *mat.Matrix, caller string) {
+	if x.Rows() == 0 {
+		panic("nn: InferSession." + caller + " on empty batch")
 	}
-	if s.prec == Float32 {
-		s.in32 = make([]float32, maxRows*s.net.InputSize())
-		s.ping32 = make([]float32, even)
-		s.pong32 = make([]float32, odd)
-		s.out64 = make([]float64, maxRows*s.net.OutputSize())
-		s.inViews = make(map[int]*mat.Matrix32)
-		s.views32 = make(map[int][]*mat.Matrix32)
-		s.outViews = make(map[int]*mat.Matrix)
-		return
+	if x.Cols() != s.net.InputSize() {
+		panic(fmt.Sprintf("nn: input width %d, network expects %d", x.Cols(), s.net.InputSize()))
 	}
-	s.ping = make([]float64, even)
-	s.pong = make([]float64, odd)
-	s.views = make(map[int][]*mat.Matrix)
 }
 
 // Forward runs every row of x through the network and returns the output
@@ -103,95 +79,11 @@ func (s *InferSession) grow(maxRows int) {
 // matrix. The result aliases session buffers and is valid until the next
 // Forward call on the same session.
 func (s *InferSession) Forward(x *mat.Matrix) *mat.Matrix {
-	if x.Cols() != s.net.InputSize() {
-		panic(fmt.Sprintf("nn: input width %d, network expects %d", x.Cols(), s.net.InputSize()))
+	s.check(x, "Forward")
+	if s.f32 != nil {
+		return s.f32.output(s.f32.run(s.f32.input(x), false))
 	}
-	rows := x.Rows()
-	if rows == 0 {
-		panic("nn: InferSession.Forward on empty batch")
-	}
-	if rows > s.maxRows {
-		s.grow(rows)
-	}
-	if s.prec == Float32 {
-		return s.forward32(x, rows)
-	}
-	views, ok := s.views[rows]
-	if !ok {
-		views = make([]*mat.Matrix, len(s.net.Layers))
-		for i, l := range s.net.Layers {
-			backing := s.ping
-			if i%2 == 1 {
-				backing = s.pong
-			}
-			views[i] = view(rows, l.Out(), backing)
-		}
-		s.views[rows] = views
-	}
-	cur := x
-	for i, l := range s.net.Layers {
-		z := views[i]
-		mat.MulTo(z, cur, l.W)
-		addBias(z, l.B)
-		applyActivation(z, l.Act)
-		cur = z
-	}
-	return cur
-}
-
-func (s *InferSession) forward32(x *mat.Matrix, rows int) *mat.Matrix {
-	cur := s.layers32(x, rows, false)
-	out, ok := s.outViews[rows]
-	if !ok {
-		out = view(rows, s.net.OutputSize(), s.out64)
-		s.outViews[rows] = out
-	}
-	od := out.Data()
-	for i, v := range cur.Data() {
-		od[i] = float64(v)
-	}
-	return out
-}
-
-// layers32 runs the float32 layer stack over x and returns the final
-// activation matrix (a session-owned view). With skipFinalSoftmax set, a
-// softmax output head is left as raw logits: softmax is strictly monotonic
-// per row, so rankings over logits and probabilities agree, and
-// classification callers can skip the exp/normalize pass entirely.
-func (s *InferSession) layers32(x *mat.Matrix, rows int, skipFinalSoftmax bool) *mat.Matrix32 {
-	in, ok := s.inViews[rows]
-	if !ok {
-		in = view32(rows, s.net.InputSize(), s.in32)
-		s.inViews[rows] = in
-	}
-	dst := in.Data()
-	for i, v := range x.Data() {
-		dst[i] = float32(v)
-	}
-	views, ok := s.views32[rows]
-	if !ok {
-		views = make([]*mat.Matrix32, len(s.net32.layers))
-		for i, l := range s.net32.layers {
-			backing := s.ping32
-			if i%2 == 1 {
-				backing = s.pong32
-			}
-			views[i] = view32(rows, l.w.Cols(), backing)
-		}
-		s.views32[rows] = views
-	}
-	cur := in
-	last := len(s.net32.layers) - 1
-	for i, l := range s.net32.layers {
-		z := views[i]
-		mat.MulTo32(z, cur, l.w)
-		addBias32(z, l.b)
-		if !(skipFinalSoftmax && i == last && l.act == Softmax) {
-			applyActivation32(z, l.act)
-		}
-		cur = z
-	}
-	return cur
+	return s.f64.run(x, false)
 }
 
 // TopKBatch classifies every row of x, returning the k most probable class
@@ -202,18 +94,10 @@ func (s *InferSession) layers32(x *mat.Matrix, rows int, skipFinalSoftmax bool) 
 // classes are bit-identical to Network.TopK on that row — batching the
 // modelers' classification never perturbs a golden output. A Float32 session
 // ranks the raw output logits instead (softmax preserves order), which skips
-// the exp/normalize pass and the float64 upcast on top of the SIMD forward.
+// the exp/normalize pass and the float64 conversion.
 func (s *InferSession) TopKBatch(x *mat.Matrix, k int) [][]int {
+	s.check(x, "TopKBatch")
 	rows := x.Rows()
-	if rows == 0 {
-		panic("nn: InferSession.TopKBatch on empty batch")
-	}
-	if x.Cols() != s.net.InputSize() {
-		panic(fmt.Sprintf("nn: input width %d, network expects %d", x.Cols(), s.net.InputSize()))
-	}
-	if rows > s.maxRows {
-		s.grow(rows)
-	}
 	nOut := s.net.OutputSize()
 	if k > nOut {
 		k = nOut
@@ -228,46 +112,22 @@ func (s *InferSession) TopKBatch(x *mat.Matrix, k int) [][]int {
 		s.classRows = make([][]int, rows)
 	}
 	res := s.classRows[:rows]
-	back := s.classBack[:rows*k]
-	if s.prec == Float32 {
-		logits := s.layers32(x, rows, true)
-		for r := 0; r < rows; r++ {
-			sel := topKSelect32(logits.Row(r), k, s.idxScratch)
-			row := back[r*k : r*k+k : r*k+k]
-			copy(row, sel)
-			res[r] = row
-		}
-		return res
-	}
-	probs := s.Forward(x)
-	for r := 0; r < rows; r++ {
-		sel := TopKSelect(probs.Row(r), k, s.idxScratch)
-		row := back[r*k : r*k+k : r*k+k]
-		copy(row, sel)
-		res[r] = row
+	if s.f32 != nil {
+		rankRows(s.f32.run(s.f32.input(x), true), k, res, s.classBack, s.idxScratch)
+	} else {
+		rankRows(s.f64.run(x, false), k, res, s.classBack, s.idxScratch)
 	}
 	return res
 }
 
-// topKSelect32 is TopKSelect over float32 scores.
-func topKSelect32(vals []float32, k int, idx []int) []int {
-	if k > len(vals) {
-		k = len(vals)
+// rankRows stores the top k class indices of every row of scores in res,
+// backed by back (at least len(res)*k long), using idx as ranking scratch.
+func rankRows[T mat.Float](scores *mat.Dense[T], k int, res [][]int, back, idx []int) {
+	for r := range res {
+		row := back[r*k : r*k+k : r*k+k]
+		copy(row, TopKSelect(scores.Row(r), k, idx))
+		res[r] = row
 	}
-	idx = idx[:len(vals)]
-	for i := range idx {
-		idx[i] = i
-	}
-	for sel := 0; sel < k; sel++ {
-		best := sel
-		for j := sel + 1; j < len(idx); j++ {
-			if vals[idx[j]] > vals[idx[best]] {
-				best = j
-			}
-		}
-		idx[sel], idx[best] = idx[best], idx[sel]
-	}
-	return idx[:k]
 }
 
 // PredictBatch runs every row of x through the network and returns a freshly
@@ -284,7 +144,7 @@ func (n *Network) PredictBatch(x *mat.Matrix, prec Precision) *mat.Matrix {
 // capacity for len(probs) entries (pass nil to allocate). k is clamped to
 // len(probs). It is the batched counterpart of Network.TopK: callers forward
 // a whole batch and rank each row without re-running the network per row.
-func TopKSelect(probs []float64, k int, idx []int) []int {
+func TopKSelect[T mat.Float](probs []T, k int, idx []int) []int {
 	if k > len(probs) {
 		k = len(probs)
 	}

@@ -24,7 +24,7 @@ func (n *Network) Confusion(x *mat.Matrix, labels []int) ConfusionMatrix {
 	if x.Rows() == 0 {
 		return cm
 	}
-	out := n.forwardOutput(x, n.newInferBuffers(x.Rows()))
+	out := newForwarder(n.Layers, x.Rows()).run(x, false)
 	for r := 0; r < out.Rows(); r++ {
 		row := out.Row(r)
 		best := 0

@@ -56,19 +56,24 @@ func (a Activation) String() string {
 	}
 }
 
-// Layer is one dense layer: outputs = act(inputs · W + b).
-// W is stored in×out so the batched forward pass is a single matmul.
-type Layer struct {
-	W   *mat.Matrix // in×out
-	B   []float64   // out
+// Layer is one dense layer of a Network: outputs = act(inputs · W + b), with
+// W (in×out, so the batched forward pass is a single matmul), bias B (out)
+// and activation Act, all in float64 — the master weights.
+type Layer = layer[float64]
+
+// layer is a dense layer at element width T. Float32 training runs and
+// inference sessions work on float32 copies of the master layers.
+type layer[T mat.Float] struct {
+	W   *mat.Dense[T] // in×out
+	B   []T           // out
 	Act Activation
 }
 
 // In returns the layer's input width.
-func (l *Layer) In() int { return l.W.Rows() }
+func (l *layer[T]) In() int { return l.W.Rows() }
 
 // Out returns the layer's output width.
-func (l *Layer) Out() int { return l.W.Cols() }
+func (l *layer[T]) Out() int { return l.W.Cols() }
 
 // Network is a feed-forward network: a stack of dense layers.
 type Network struct {
@@ -168,14 +173,20 @@ func (n *Network) Clone() *Network {
 }
 
 // applyActivation applies the layer activation in place to a batch of
-// pre-activations (rows are samples).
-func applyActivation(z *mat.Matrix, act Activation) {
+// pre-activations (rows are samples). Tanh is math.Tanh at float64 and the
+// native float32 approximation mat.Tanh32s (vectorized on SIMD hosts) at
+// float32.
+func applyActivation[T mat.Float](z *mat.Dense[T], act Activation) {
 	switch act {
 	case Linear:
 	case Tanh:
+		if z32, ok := any(z).(*mat.Dense[float32]); ok {
+			mat.Tanh32s(z32.Data())
+			return
+		}
 		d := z.Data()
 		for i, v := range d {
-			d[i] = math.Tanh(v)
+			d[i] = T(math.Tanh(float64(v)))
 		}
 	case ReLU:
 		d := z.Data()
@@ -193,22 +204,33 @@ func applyActivation(z *mat.Matrix, act Activation) {
 	}
 }
 
-// softmaxRow computes a numerically stable softmax in place.
-func softmaxRow(row []float64) {
+// softmaxRow computes a numerically stable softmax in place. The exponential
+// is evaluated in float64 at either width.
+func softmaxRow[T mat.Float](row []T) {
 	max := row[0]
 	for _, v := range row[1:] {
 		if v > max {
 			max = v
 		}
 	}
-	sum := 0.0
+	var sum T
 	for i, v := range row {
-		e := math.Exp(v - max)
+		e := T(math.Exp(float64(v - max)))
 		row[i] = e
 		sum += e
 	}
 	for i := range row {
 		row[i] /= sum
+	}
+}
+
+// addBias adds the bias vector to every row of z.
+func addBias[T mat.Float](z *mat.Dense[T], bias []T) {
+	for r := 0; r < z.Rows(); r++ {
+		row := z.Row(r)
+		for c := range row {
+			row[c] += bias[c]
+		}
 	}
 }
 
@@ -225,12 +247,7 @@ func (n *Network) ForwardBatch(x *mat.Matrix) []*mat.Matrix {
 	for i, l := range n.Layers {
 		z := mat.New(x.Rows(), l.Out())
 		mat.MulTo(z, acts[i], l.W)
-		for r := 0; r < z.Rows(); r++ {
-			row := z.Row(r)
-			for c := range row {
-				row[c] += l.B[c]
-			}
-		}
+		addBias(z, l.B)
 		applyActivation(z, l.Act)
 		acts[i+1] = z
 	}
@@ -241,7 +258,7 @@ func (n *Network) ForwardBatch(x *mat.Matrix) []*mat.Matrix {
 // activations (class probabilities for a softmax head).
 func (n *Network) Predict(x []float64) []float64 {
 	in := mat.NewFromData(1, len(x), append([]float64(nil), x...))
-	out := n.forwardOutput(in, n.newInferBuffers(1))
+	out := newForwarder(n.Layers, 1).run(in, false)
 	res := make([]float64, out.Cols())
 	copy(res, out.Row(0))
 	return res
@@ -290,7 +307,7 @@ func (n *Network) Accuracy(x *mat.Matrix, labels []int) float64 {
 	if x.Rows() == 0 {
 		return 0
 	}
-	out := n.forwardOutput(x, n.newInferBuffers(x.Rows()))
+	out := newForwarder(n.Layers, x.Rows()).run(x, false)
 	correct := 0
 	for r := 0; r < out.Rows(); r++ {
 		row := out.Row(r)

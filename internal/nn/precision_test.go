@@ -28,14 +28,14 @@ func blobs(rng *rand.Rand, perClass int) (*mat.Matrix, []int) {
 // most, far inside the precision-path parity tolerance.
 func TestTanh32Accuracy(t *testing.T) {
 	for x := -12.0; x <= 12.0; x += 1e-3 {
-		got := float64(tanh32(float32(x)))
+		got := float64(mat.Tanh32(float32(x)))
 		want := math.Tanh(x)
 		if d := math.Abs(got - want); d > 5e-7 {
-			t.Fatalf("tanh32(%v) = %v, want %v (diff %v)", x, got, want, d)
+			t.Fatalf("Tanh32(%v) = %v, want %v (diff %v)", x, got, want, d)
 		}
 	}
-	if tanh32(100) != 1 || tanh32(-100) != -1 || tanh32(0) != 0 {
-		t.Fatal("tanh32 saturation/zero broken")
+	if mat.Tanh32(100) != 1 || mat.Tanh32(-100) != -1 || mat.Tanh32(0) != 0 {
+		t.Fatal("Tanh32 saturation/zero broken")
 	}
 }
 

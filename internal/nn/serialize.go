@@ -78,12 +78,12 @@ func Load(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("nn: load: layer %d input %d does not match previous output %d", i, in, prevOut)
 		}
 		prevOut = out
-		wdata := make([]float64, in*out)
-		if err := readFloats(br, wdata); err != nil {
+		wdata, err := readFloats(br, in*out)
+		if err != nil {
 			return nil, fmt.Errorf("nn: load: layer %d weights: %w", i, err)
 		}
-		b := make([]float64, out)
-		if err := readFloats(br, b); err != nil {
+		b, err := readFloats(br, out)
+		if err != nil {
 			return nil, fmt.Errorf("nn: load: layer %d biases: %w", i, err)
 		}
 		// A NaN or ±Inf parameter poisons every downstream prediction the first
@@ -125,13 +125,21 @@ func writeFloats(w io.Writer, fs []float64) error {
 	return nil
 }
 
-func readFloats(r io.Reader, fs []float64) error {
-	buf := make([]byte, 8*len(fs))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+// readFloats reads n little-endian float64 values. It reads in bounded
+// chunks and grows the result as the data arrives, so a corrupt header that
+// claims a huge layer fails on the short read instead of first allocating
+// the claimed size (up to 2^40 values).
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	var buf [8 << 10]byte
+	fs := make([]float64, 0, min(n, 1<<16))
+	for len(fs) < n {
+		k := min(n-len(fs), len(buf)/8)
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, err
+		}
+		for i := 0; i < k; i++ {
+			fs = append(fs, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
+		}
 	}
-	for i := range fs {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return nil
+	return fs, nil
 }

@@ -86,9 +86,10 @@ type TrainOptions struct {
 	// Zero disables early stopping.
 	Patience int
 	// Precision selects the arithmetic width of the run. The default,
-	// Float64, is bit-identical to the historical behavior; Float32 runs the
-	// whole epoch loop on float32 working copies of the weights and writes
-	// the result back (see precision.go and DESIGN.md §11).
+	// Float64, trains the master weights in place and is bit-identical to
+	// the historical behavior; Float32 runs the same epoch loop on float32
+	// working copies of the weights and writes the result back (see
+	// precision.go and DESIGN.md §11).
 	Precision Precision
 }
 
@@ -155,9 +156,9 @@ func isFinite(v float64) bool {
 }
 
 // optState holds per-layer optimizer accumulators.
-type optState struct {
-	mW, vW *mat.Matrix // first/second moments for weights
-	mB, vB []float64   // first/second moments for biases
+type optState[T mat.Float] struct {
+	mW, vW *mat.Dense[T] // first/second moments for weights
+	mB, vB []T           // first/second moments for biases
 	step   int
 }
 
@@ -195,29 +196,79 @@ func (n *Network) TrainCtx(ctx context.Context, x *mat.Matrix, labels []int, opt
 		}
 	}
 
-	// Input validation above is shared; the float32 engine takes over from
-	// here when requested, leaving this float64 path untouched.
 	if opts.Precision == Float32 {
-		return n.trainCtx32(ctx, x, labels, opts)
+		return trainCtx[float32](ctx, n, x, labels, opts)
 	}
+	return trainCtx[float64](ctx, n, x, labels, opts)
+}
+
+// workingLayers returns the layers a run at element width T computes on and
+// a function that makes the result visible in the float64 master weights. A
+// float64 run works in place on n.Layers, so there is nothing to write back;
+// a float32 run converts the weights once and writes them back on every
+// exit, completed or aborted, mirroring the in-place semantics.
+func workingLayers[T mat.Float](n *Network) ([]*layer[T], func()) {
+	if ls, ok := any(n.Layers).([]*layer[T]); ok {
+		return ls, func() {}
+	}
+	ls := make([]*layer[T], len(n.Layers))
+	for i, l := range n.Layers {
+		b := make([]T, len(l.B))
+		for j, v := range l.B {
+			b[j] = T(v)
+		}
+		ls[i] = &layer[T]{W: denseOf[T](l.W), B: b, Act: l.Act}
+	}
+	return ls, func() {
+		for i, l := range ls {
+			mat.Convert(n.Layers[i].W, l.W)
+			for j, v := range l.B {
+				n.Layers[i].B[j] = float64(v)
+			}
+		}
+	}
+}
+
+// newOptStates returns zeroed optimizer accumulators for every layer.
+func newOptStates[T mat.Float](layers []*layer[T]) []*optState[T] {
+	states := make([]*optState[T], len(layers))
+	for i, l := range layers {
+		states[i] = &optState[T]{
+			mW: mat.NewDense[T](l.W.Rows(), l.W.Cols()),
+			vW: mat.NewDense[T](l.W.Rows(), l.W.Cols()),
+			mB: make([]T, len(l.B)),
+			vB: make([]T, len(l.B)),
+		}
+	}
+	return states
+}
+
+// trainCtx is the training engine behind TrainCtx, at element width T. The
+// caller has validated the inputs and applied option defaults. Both widths
+// run the same loop and consume the rng in the same order, so they see the
+// same shuffles and dropout masks; only the arithmetic width differs.
+func trainCtx[T mat.Float](ctx context.Context, n *Network, x *mat.Matrix, labels []int, opts TrainOptions) (TrainStats, error) {
+	numSamples := x.Rows()
 
 	// Telemetry: one run counter tick plus a span covering the whole run.
 	// With observability off this is one atomic load and a nil span — the
 	// training loop itself stays allocation-free either way (obs alloc gate).
 	obsTrainRuns.Inc()
-	obsTrainRunsF64.Inc()
 	spanCtx, span := obs.StartSpan(ctx, "nn.train")
+	if opts.Precision == Float32 {
+		obsTrainRunsF32.Inc()
+		if span != nil {
+			span.SetString("precision", Float32.String())
+		}
+	} else {
+		obsTrainRunsF64.Inc()
+	}
 	ctx = spanCtx
 
-	states := make([]*optState, len(n.Layers))
-	for i, l := range n.Layers {
-		states[i] = &optState{
-			mW: mat.New(l.W.Rows(), l.W.Cols()),
-			vW: mat.New(l.W.Rows(), l.W.Cols()),
-			mB: make([]float64, len(l.B)),
-			vB: make([]float64, len(l.B)),
-		}
-	}
+	layers, writeBack := workingLayers[T](n)
+	defer writeBack()
+
+	states := newOptStates(layers)
 
 	// Hold out the validation tail when requested.
 	trainCount := numSamples
@@ -241,7 +292,7 @@ func (n *Network) TrainCtx(ctx context.Context, x *mat.Matrix, labels []int, opt
 		effBatch = trainCount
 	}
 	dropout := opts.Dropout > 0 && opts.Dropout < 1
-	ws := newTrainWorkspace(n, x, effBatch, trainCount%effBatch, trainCount, numSamples-trainCount, dropout)
+	ws := newTrainWorkspace(layers, x, effBatch, trainCount%effBatch, trainCount, numSamples-trainCount, dropout)
 
 	stats := TrainStats{}
 	if span != nil {
@@ -277,7 +328,7 @@ func (n *Network) TrainCtx(ctx context.Context, x *mat.Matrix, labels []int, opt
 				end = trainCount
 			}
 			batch := order[start:end]
-			loss := n.trainBatch(x, labels, batch, states, opts, rng, ws)
+			loss := trainBatch(layers, x, labels, batch, states, opts, rng, ws)
 			epochLoss += loss * float64(len(batch))
 			batches++
 		}
@@ -304,7 +355,7 @@ func (n *Network) TrainCtx(ctx context.Context, x *mat.Matrix, labels []int, opt
 		// remaining epochs would compute is garbage, so abort now and let
 		// the caller retry or fall back. Healthy runs only pay a read-only
 		// scan per epoch — results stay bit-identical.
-		if !isFinite(meanLoss) || !n.weightsHealthy() {
+		if !isFinite(meanLoss) || !weightsHealthy(layers) {
 			stats.Diverged = true
 			stats.DivergedEpoch = epoch + 1
 			obsTrainDivergence.Inc()
@@ -315,7 +366,7 @@ func (n *Network) TrainCtx(ctx context.Context, x *mat.Matrix, labels []int, opt
 			opts.LearningRate *= opts.LRDecay
 		}
 		if trainCount < numSamples {
-			val := n.meanLoss(ws.valIn, labels, trainCount, ws.valBuf)
+			val := validationLoss(ws.valIn, labels, trainCount, ws.valBuf)
 			stats.ValLoss = append(stats.ValLoss, val)
 			if val < bestVal-1e-9 {
 				bestVal = val
@@ -335,15 +386,18 @@ func (n *Network) TrainCtx(ctx context.Context, x *mat.Matrix, labels []int, opt
 // weightsHealthy reports whether every weight and bias is finite and within
 // WeightExplosionLimit. It only reads, so calling it never perturbs
 // training.
-func (n *Network) weightsHealthy() bool {
-	for _, l := range n.Layers {
+func weightsHealthy[T mat.Float](layers []*layer[T]) bool {
+	healthy := func(v T) bool {
+		return isFinite(float64(v)) && math.Abs(float64(v)) <= WeightExplosionLimit
+	}
+	for _, l := range layers {
 		for _, w := range l.W.Data() {
-			if !isFinite(w) || math.Abs(w) > WeightExplosionLimit {
+			if !healthy(w) {
 				return false
 			}
 		}
 		for _, b := range l.B {
-			if !isFinite(b) || math.Abs(b) > WeightExplosionLimit {
+			if !healthy(b) {
 				return false
 			}
 		}
@@ -351,17 +405,16 @@ func (n *Network) weightsHealthy() bool {
 	return true
 }
 
-// meanLoss computes the mean cross-entropy of the network on `in`, whose row
-// r carries label labels[from+r]. `in` is typically a zero-copy view of the
-// held-out tail of the training matrix, and buf the workspace's ping-pong
-// inference buffers, so the per-epoch validation pass copies and allocates
-// nothing.
-func (n *Network) meanLoss(in *mat.Matrix, labels []int, from int, buf *inferBuffers) float64 {
-	probs := n.forwardOutput(in, buf)
+// validationLoss computes the mean cross-entropy of the network on `in`, whose row
+// r carries label labels[from+r]. `in` is typically the held-out tail of the
+// training matrix, and f the workspace's inference buffers, so the
+// per-epoch validation pass allocates nothing.
+func validationLoss[T mat.Float](in *mat.Dense[T], labels []int, from int, f *forwarder[T]) float64 {
+	probs := f.run(in, false)
 	count := in.Rows()
 	loss := 0.0
 	for r := 0; r < count; r++ {
-		p := probs.At(r, labels[from+r])
+		p := float64(probs.At(r, labels[from+r]))
 		if p < 1e-15 {
 			p = 1e-15
 		}
@@ -373,25 +426,30 @@ func (n *Network) meanLoss(in *mat.Matrix, labels []int, from int, buf *inferBuf
 // trainBatch runs one forward/backward pass over the given sample indices
 // and applies an optimizer step. It returns the mean cross-entropy loss of
 // the batch. All matrices come from the preallocated workspace; the only
-// external state consumed is the dropout rng.
-func (n *Network) trainBatch(x *mat.Matrix, labels []int, batch []int, states []*optState, opts TrainOptions, dropRng *rand.Rand, ws *trainWorkspace) float64 {
+// external state consumed is the dropout rng. The batch rows are converted
+// to T as they are gathered; the loss is accumulated in float64 at either
+// width.
+func trainBatch[T mat.Float](layers []*layer[T], x *mat.Matrix, labels []int, batch []int, states []*optState[T], opts TrainOptions, dropRng *rand.Rand, ws *trainWorkspace[T]) float64 {
 	b := len(batch)
 	bb := ws.buffersFor(b)
 	in := bb.acts[0]
 	for r, idx := range batch {
-		copy(in.Row(r), x.Row(idx))
+		dst := in.Row(r)
+		for c, v := range x.Row(idx) {
+			dst[c] = T(v)
+		}
 	}
 
 	// Forward pass with fused inverted dropout: each hidden activation is
 	// masked (surviving units scaled by 1/(1-p)) before the next layer reads
 	// it, so inference uses the network unchanged. The same masks reapply to
 	// the deltas during the backward pass.
-	numLayers := len(n.Layers)
-	keepScale := 0.0
+	numLayers := len(layers)
+	var keepScale T
 	if bb.masks != nil {
-		keepScale = 1 / (1 - opts.Dropout)
+		keepScale = T(1 / (1 - opts.Dropout))
 	}
-	for i, l := range n.Layers {
+	for i, l := range layers {
 		z := bb.acts[i+1]
 		mat.MulTo(z, bb.acts[i], l.W)
 		addBias(z, l.B)
@@ -415,7 +473,7 @@ func (n *Network) trainBatch(x *mat.Matrix, labels []int, batch []int, states []
 	copy(delta.Data(), probs.Data())
 	for r, idx := range batch {
 		lbl := labels[idx]
-		p := probs.At(r, lbl)
+		p := float64(probs.At(r, lbl))
 		if p < 1e-15 {
 			p = 1e-15
 		}
@@ -423,13 +481,13 @@ func (n *Network) trainBatch(x *mat.Matrix, labels []int, batch []int, states []
 		delta.Set(r, lbl, delta.At(r, lbl)-1)
 	}
 	loss /= float64(b)
-	delta.Scale(1 / float64(b))
+	delta.Scale(T(1 / float64(b)))
 
 	// Backpropagate layer by layer on the fused transpose-free kernels:
 	// dW = aPrevᵀ·delta and prevDelta = delta·Wᵀ read the operands in place
 	// instead of materializing a transposed copy per batch.
 	for i := numLayers - 1; i >= 0; i-- {
-		l := n.Layers[i]
+		l := layers[i]
 		aPrev := bb.acts[i]
 
 		// Gradients: dW = aPrevᵀ · delta, db = column sums of delta.
@@ -452,7 +510,7 @@ func (n *Network) trainBatch(x *mat.Matrix, labels []int, batch []int, states []
 			mat.MulBTTo(prev, delta, l.W)
 			// Multiply by the activation derivative of layer i-1, and by the
 			// dropout mask that was applied to its activations.
-			applyActivationGrad(prev, bb.acts[i], n.Layers[i-1].Act)
+			applyActivationGrad(prev, bb.acts[i], layers[i-1].Act)
 			if bb.masks != nil && bb.masks[i] != nil {
 				pd, md := prev.Data(), bb.masks[i].Data()
 				for j := range pd {
@@ -469,7 +527,7 @@ func (n *Network) trainBatch(x *mat.Matrix, labels []int, batch []int, states []
 
 // applyActivationGrad multiplies delta in place by the derivative of the
 // activation, evaluated from the post-activation values a.
-func applyActivationGrad(delta, a *mat.Matrix, act Activation) {
+func applyActivationGrad[T mat.Float](delta, a *mat.Dense[T], act Activation) {
 	switch act {
 	case Linear:
 	case Tanh:
@@ -489,15 +547,18 @@ func applyActivationGrad(delta, a *mat.Matrix, act Activation) {
 	}
 }
 
-// applyUpdate performs one optimizer step on a layer.
-func applyUpdate(l *Layer, st *optState, dW *mat.Matrix, dB []float64, opts TrainOptions) {
+// applyUpdate performs one optimizer step on a layer. The bias corrections
+// involve math.Pow of the step counter and are computed in float64 at either
+// width.
+func applyUpdate[T mat.Float](l *layer[T], st *optState[T], dW *mat.Dense[T], dB []T, opts TrainOptions) {
 	st.step++
 	t := float64(st.step)
-	lr := opts.LearningRate
+	lr := T(opts.LearningRate)
+	beta1, beta2 := T(opts.Beta1), T(opts.Beta2)
 	if opts.WeightDecay > 0 {
 		// Decoupled weight decay (AdamW-style): shrink the weights directly
 		// instead of folding the penalty into the adaptive gradient moments.
-		l.W.Scale(1 - lr*opts.WeightDecay)
+		l.W.Scale(1 - lr*T(opts.WeightDecay))
 	}
 	switch opts.Optimizer {
 	case SGD:
@@ -506,26 +567,26 @@ func applyUpdate(l *Layer, st *optState, dW *mat.Matrix, dB []float64, opts Trai
 			l.B[i] -= lr * dB[i]
 		}
 	case Adam:
-		corr1 := 1 - math.Pow(opts.Beta1, t)
-		corr2 := 1 - math.Pow(opts.Beta2, t)
+		corr1 := T(1 - math.Pow(opts.Beta1, t))
+		corr2 := T(1 - math.Pow(opts.Beta2, t))
 		w, m, v, g := l.W.Data(), st.mW.Data(), st.vW.Data(), dW.Data()
 		for i := range w {
-			m[i] = opts.Beta1*m[i] + (1-opts.Beta1)*g[i]
-			v[i] = opts.Beta2*v[i] + (1-opts.Beta2)*g[i]*g[i]
-			w[i] -= lr * (m[i] / corr1) / (math.Sqrt(v[i]/corr2) + 1e-8)
+			m[i] = beta1*m[i] + (1-beta1)*g[i]
+			v[i] = beta2*v[i] + (1-beta2)*g[i]*g[i]
+			w[i] -= lr * (m[i] / corr1) / (T(math.Sqrt(float64(v[i]/corr2))) + 1e-8)
 		}
 		for i := range l.B {
-			st.mB[i] = opts.Beta1*st.mB[i] + (1-opts.Beta1)*dB[i]
-			st.vB[i] = opts.Beta2*st.vB[i] + (1-opts.Beta2)*dB[i]*dB[i]
-			l.B[i] -= lr * (st.mB[i] / corr1) / (math.Sqrt(st.vB[i]/corr2) + 1e-8)
+			st.mB[i] = beta1*st.mB[i] + (1-beta1)*dB[i]
+			st.vB[i] = beta2*st.vB[i] + (1-beta2)*dB[i]*dB[i]
+			l.B[i] -= lr * (st.mB[i] / corr1) / (T(math.Sqrt(float64(st.vB[i]/corr2))) + 1e-8)
 		}
 	default: // AdaMax
-		corr1 := 1 - math.Pow(opts.Beta1, t)
+		corr1 := T(1 - math.Pow(opts.Beta1, t))
 		w, m, u, g := l.W.Data(), st.mW.Data(), st.vW.Data(), dW.Data()
 		for i := range w {
-			m[i] = opts.Beta1*m[i] + (1-opts.Beta1)*g[i]
-			au := opts.Beta2 * u[i]
-			if ag := math.Abs(g[i]); ag > au {
+			m[i] = beta1*m[i] + (1-beta1)*g[i]
+			au := beta2 * u[i]
+			if ag := T(math.Abs(float64(g[i]))); ag > au {
 				au = ag
 			}
 			u[i] = au
@@ -534,9 +595,9 @@ func applyUpdate(l *Layer, st *optState, dW *mat.Matrix, dB []float64, opts Trai
 			}
 		}
 		for i := range l.B {
-			st.mB[i] = opts.Beta1*st.mB[i] + (1-opts.Beta1)*dB[i]
-			au := opts.Beta2 * st.vB[i]
-			if ag := math.Abs(dB[i]); ag > au {
+			st.mB[i] = beta1*st.mB[i] + (1-beta1)*dB[i]
+			au := beta2 * st.vB[i]
+			if ag := T(math.Abs(float64(dB[i]))); ag > au {
 				au = ag
 			}
 			st.vB[i] = au

@@ -20,9 +20,9 @@ import (
 func refTrain(n *Network, x *mat.Matrix, labels []int, opts TrainOptions) TrainStats {
 	opts = opts.withDefaults()
 	numSamples := x.Rows()
-	states := make([]*optState, len(n.Layers))
+	states := make([]*optState[float64], len(n.Layers))
 	for i, l := range n.Layers {
-		states[i] = &optState{
+		states[i] = &optState[float64]{
 			mW: mat.New(l.W.Rows(), l.W.Cols()),
 			vW: mat.New(l.W.Rows(), l.W.Cols()),
 			mB: make([]float64, len(l.B)),
@@ -107,7 +107,7 @@ func refMeanLoss(n *Network, x *mat.Matrix, labels []int, from, to int) float64 
 // refTrainBatch is the allocating forward/backward pass: fresh matrices for
 // input, activations, masks, deltas and gradients, and explicit transposes
 // in both backpropagation products.
-func refTrainBatch(n *Network, x *mat.Matrix, labels []int, batch []int, states []*optState, opts TrainOptions, dropRng *rand.Rand) float64 {
+func refTrainBatch(n *Network, x *mat.Matrix, labels []int, batch []int, states []*optState[float64], opts TrainOptions, dropRng *rand.Rand) float64 {
 	b := len(batch)
 	in := mat.New(b, x.Cols())
 	for r, idx := range batch {

@@ -2,7 +2,7 @@
 // HTTP front end over one process-wide core.Modeler whose steady state does
 // zero training. The network is pretrained (or registry-loaded) once at
 // startup; every request models against that network, all requests share one
-// sharded adaptation cache, and concurrent same-signature adaptations —
+// adaptation cache, and concurrent same-signature adaptations —
 // arriving from different HTTP requests — coalesce through the cache's
 // singleflight, so N tenants asking about the same experiment layout cost one
 // retrain between them.

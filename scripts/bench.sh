@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Benchmark snapshot: runs the hot-path benchmarks behind docs/PERFORMANCE.md
-# (float32 kernel twins, batched inference, end-to-end training and cross-set
+# (float32 vs float64 kernels, batched inference, end-to-end training and cross-set
 # prediction) and writes one machine-readable JSON file per day:
 #
 #   ./scripts/bench.sh              # writes BENCH_YYYY-MM-DD.json
@@ -41,14 +41,12 @@ run() {
             }'
 } >>"$TMP"
 
-# Float32 kernel twins vs float64 at training shapes.
+# Float32 vs float64 kernels at training shapes.
 run internal/mat 'BenchmarkMulTo$|BenchmarkMulATTo$|BenchmarkMulBTTo$' 100x
 # End-to-end training (f64 vs f32), batched inference, per-row baselines.
 run internal/nn 'BenchmarkTrainEpochs$|BenchmarkTrainEpochsF32$|BenchmarkForwardBatched$|BenchmarkForwardPerRow$|BenchmarkTopKPerRow$|BenchmarkTopKBatch$' 20x
 # Cross-set batched prediction vs the per-set modeling loop.
 run internal/dnnmodel 'BenchmarkModelPerSet$|BenchmarkPredictBatch$' 5x
-# Adaptation-cache lookup storm: single mutex vs sharded layout.
-run internal/adaptcache 'BenchmarkCacheContention$' 0.5s
 # Streaming campaign pipeline vs the slice path (incl. on-disk JSONL decode).
 run . 'BenchmarkModelProfileStream$' 5x
 # Daemon serving: one /v1/profile request cold (fresh adaptation cache, every

@@ -31,6 +31,9 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
+echo "==> bench module (own go.mod, so ./... above does not build it): go vet + go test"
+(cd bench && go vet ./... && go test ./...)
+
 echo "==> go test -race -short (root, mat, nn, parallel, dnnmodel, core, synth, adaptcache, measurement, obs)"
 go test -race -short . ./internal/mat/... ./internal/nn/... ./internal/parallel/... ./internal/dnnmodel/... ./internal/core/... ./internal/synth/... ./internal/adaptcache/... ./internal/measurement/... ./internal/obs/...
 
@@ -61,8 +64,8 @@ done
 go test -run '^$' -fuzz '^FuzzLoadNetwork$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzScanProfile$' -fuzztime 5s ./internal/profile/
 
-echo "==> float32 parity gate (SIMD kernels, f32 training/inference vs float64, default-precision golden pin)"
-go test -count=1 -run 'TestSIMDKernelParity|TestSIMDKernelDeterminism|TestTanh32sMatchesScalar' ./internal/mat/
+echo "==> float32 parity gate (SIMD kernels, float64 kernel bit identity, f32 training/inference vs float64, default-precision golden pin)"
+go test -count=1 -run 'TestSIMDKernelParity|TestSIMDKernelDeterminism|TestTanh32sMatchesScalar|TestKernelBitIdentity' ./internal/mat/
 go test -count=1 -run 'TestTrainFloat32ParityWithFloat64|TestInferSessionFloat32Parity|TestTopKBatchMatchesTopK|TestDefaultPrecisionGoldenWeights' ./internal/nn/
 
 echo "==> batched-inference allocation gate (InferSession steady state => zero allocations)"
