@@ -63,7 +63,7 @@ func main() {
 		NetPath: *netPath, Topology: *topology, SamplesPerClass: *samples, Epochs: *epochs,
 		Seed: *seed, Float32: *f32, ModelDir: *modelDir,
 	}
-	pretrained, err := cliutil.LoadOrPretrainOpts(context.Background(), netOpts)
+	pretrained, err := cliutil.LoadOrPretrain(context.Background(), netOpts)
 	if err != nil {
 		fatal(err)
 	}

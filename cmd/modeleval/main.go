@@ -171,7 +171,7 @@ func evalProfile(ctx context.Context, path string, netOpts cliutil.NetOptions, a
 			point[i] = v
 		}
 	}
-	pretrained, err := cliutil.LoadOrPretrainOpts(ctx, netOpts)
+	pretrained, err := cliutil.LoadOrPretrain(ctx, netOpts)
 	if err != nil {
 		return 0, err
 	}

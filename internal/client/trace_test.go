@@ -23,16 +23,26 @@ import (
 // two different tracers, exactly like two different processes — reassemble
 // into one span tree via tracemerge.
 
+// tracedEnv is a traced daemon, the client dialing it, and the JSONL
+// buffers each side's tracer records into.
+type tracedEnv struct {
+	cl                   *Client
+	px                   *chaosproxy.Proxy
+	ts                   *httptest.Server
+	clientTr, serverTr   *obs.Tracer
+	clientBuf, serverBuf *bytes.Buffer
+}
+
 // tracedDaemon stands up a regression daemon whose requests record into
 // serverBuf through a dedicated tracer, installed via the listener's
 // BaseContext — the in-process stand-in for two processes each having their
 // own global tracer. When proxied is true the client dials through a chaos
 // proxy (returned for fault scripting) with keep-alives off, mirroring
 // chaosDaemon.
-func tracedDaemon(t *testing.T, proxied bool) (*Client, *chaosproxy.Proxy, *obs.Tracer, *obs.Tracer, *bytes.Buffer, *bytes.Buffer) {
+func tracedDaemon(t *testing.T, proxied bool) *tracedEnv {
 	t.Helper()
-	clientBuf, serverBuf := &bytes.Buffer{}, &bytes.Buffer{}
-	clientTr, serverTr := obs.NewTracer(clientBuf), obs.NewTracer(serverBuf)
+	e := &tracedEnv{clientBuf: &bytes.Buffer{}, serverBuf: &bytes.Buffer{}}
+	e.clientTr, e.serverTr = obs.NewTracer(e.clientBuf), obs.NewTracer(e.serverBuf)
 
 	m, err := core.New(nil, core.Config{DisableDNN: true})
 	if err != nil {
@@ -42,50 +52,52 @@ func tracedDaemon(t *testing.T, proxied bool) (*Client, *chaosproxy.Proxy, *obs.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewUnstartedServer(srv.Handler())
-	ts.Config.BaseContext = func(net.Listener) context.Context {
-		return obs.ContextWithTracer(context.Background(), serverTr)
+	e.ts = httptest.NewUnstartedServer(srv.Handler())
+	e.ts.Config.BaseContext = func(net.Listener) context.Context {
+		return obs.ContextWithTracer(context.Background(), e.serverTr)
 	}
-	ts.Start()
-	t.Cleanup(ts.Close)
+	e.ts.Start()
+	t.Cleanup(e.ts.Close)
 
-	base := ts.URL
-	var px *chaosproxy.Proxy
+	base := e.ts.URL
 	if proxied {
-		u, err := url.Parse(ts.URL)
+		u, err := url.Parse(e.ts.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		px, err = chaosproxy.New(u.Host)
+		e.px, err = chaosproxy.New(u.Host)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(px.Close)
-		base = px.URL()
+		t.Cleanup(e.px.Close)
+		base = e.px.URL()
 	}
 	tr := &http.Transport{DisableKeepAlives: true}
 	t.Cleanup(tr.CloseIdleConnections)
-	cl := New(base)
-	cl.HTTPClient = &http.Client{Transport: tr}
-	cl.Retry = fastRetry()
-	return cl, px, clientTr, serverTr, clientBuf, serverBuf
+	e.cl = New(base)
+	e.cl.HTTPClient = &http.Client{Transport: tr}
+	e.cl.Retry = fastRetry()
+	return e
 }
 
-// mergedTraces closes both test servers' tracers and merges the two JSONL
-// buffers the way cmd/traceview does.
-func mergedTraces(t *testing.T, clientTr, serverTr *obs.Tracer, clientBuf, serverBuf *bytes.Buffer) []tracemerge.Trace {
+// mergedTraces closes the daemon, flushes both tracers and merges the two
+// JSONL buffers the way cmd/traceview does. Closing first blocks until every
+// handler has returned, so each deferred server.request span is written
+// before the server buffer is read.
+func (e *tracedEnv) mergedTraces(t *testing.T) []tracemerge.Trace {
 	t.Helper()
-	if err := clientTr.Flush(); err != nil {
+	e.ts.Close()
+	if err := e.clientTr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := serverTr.Flush(); err != nil {
+	if err := e.serverTr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := tracemerge.Read(bytes.NewReader(clientBuf.Bytes()), "client.jsonl")
+	cs, err := tracemerge.Read(bytes.NewReader(e.clientBuf.Bytes()), "client.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := tracemerge.Read(bytes.NewReader(serverBuf.Bytes()), "server.jsonl")
+	ss, err := tracemerge.Read(bytes.NewReader(e.serverBuf.Bytes()), "server.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +122,14 @@ func spansNamed(tr tracemerge.Trace, name string) []tracemerge.Span {
 // traced /v1/model call yields client and server spans under one trace ID,
 // with the server.request span parented to the client's attempt span.
 func TestTracePropagationModelJoins(t *testing.T) {
-	cl, _, clientTr, serverTr, clientBuf, serverBuf := tracedDaemon(t, false)
+	e := tracedDaemon(t, false)
 
-	ctx := obs.ContextWithTracer(context.Background(), clientTr)
-	if _, err := cl.Model(ctx, testSet(1, func(x float64) float64 { return 5 + 2*x })); err != nil {
+	ctx := obs.ContextWithTracer(context.Background(), e.clientTr)
+	if _, err := e.cl.Model(ctx, testSet(1, func(x float64) float64 { return 5 + 2*x })); err != nil {
 		t.Fatal(err)
 	}
 
-	// The model call must wait for the server span to be written; the response
-	// is fully read before Model returns, and the handler's defer runs before
-	// the response body completes, so the server file is complete here.
-	traces := mergedTraces(t, clientTr, serverTr, clientBuf, serverBuf)
+	traces := e.mergedTraces(t)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1 (client and server joined)", len(traces))
 	}
@@ -154,12 +163,12 @@ func TestTracePropagationModelJoins(t *testing.T) {
 // the attempt it resumed from, and every server.request a child of the
 // attempt that carried it.
 func TestChaosResetResumeSingleTrace(t *testing.T) {
-	cl, px, clientTr, serverTr, clientBuf, serverBuf := tracedDaemon(t, true)
-	px.Enqueue(chaosproxy.Fault{Kind: chaosproxy.KindReset, AfterPattern: `"kern3"`})
+	e := tracedDaemon(t, true)
+	e.px.Enqueue(chaosproxy.Fault{Kind: chaosproxy.KindReset, AfterPattern: `"kern3"`})
 
-	ctx := obs.ContextWithTracer(context.Background(), clientTr)
+	ctx := obs.ContextWithTracer(context.Background(), e.clientTr)
 	var lines []cliutil.ResultLine
-	n, err := cl.StreamProfile(ctx, "app", []string{"p"}, profile.Entries(testEntries(6)),
+	n, err := e.cl.StreamProfile(ctx, "app", []string{"p"}, profile.Entries(testEntries(6)),
 		func(l cliutil.ResultLine) error {
 			lines = append(lines, l)
 			return nil
@@ -167,11 +176,11 @@ func TestChaosResetResumeSingleTrace(t *testing.T) {
 	if err != nil || n != 6 {
 		t.Fatalf("campaign through a reset: emitted=%d err=%v", n, err)
 	}
-	if px.Connections() != 2 {
-		t.Fatalf("%d connections, want 2 (original + resume)", px.Connections())
+	if e.px.Connections() != 2 {
+		t.Fatalf("%d connections, want 2 (original + resume)", e.px.Connections())
 	}
 
-	traces := mergedTraces(t, clientTr, serverTr, clientBuf, serverBuf)
+	traces := e.mergedTraces(t)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want exactly 1 — the whole faulted campaign is one trace", len(traces))
 	}
@@ -233,8 +242,8 @@ func TestChaosResetResumeSingleTrace(t *testing.T) {
 	// Every modeled kernel appears as a profile.entry span in the same trace.
 	entries := spansNamed(tr, "profile.entry")
 	kernels := map[string]bool{}
-	for _, e := range entries {
-		kernels[e.Attr(obs.KernelAttr)] = true
+	for _, sp := range entries {
+		kernels[sp.Attr(obs.KernelAttr)] = true
 	}
 	for _, l := range lines {
 		if !kernels[l.Kernel] {

@@ -78,7 +78,7 @@ func ParseTopology(s string) ([]int, error) {
 	return sizes, nil
 }
 
-// NetOptions configures LoadOrPretrainOpts — the CLI tools fill it straight
+// NetOptions configures LoadOrPretrain — the CLI tools fill it straight
 // from their flags.
 type NetOptions struct {
 	// NetPath loads a saved network instead of pretraining.
@@ -108,31 +108,13 @@ func (o NetOptions) Precision() nn.Precision {
 	return nn.Float64
 }
 
-// LoadOrPretrain returns a DNN modeler: loaded from netPath when given,
+// LoadOrPretrain returns a DNN modeler: loaded from o.NetPath when given,
 // otherwise pretrained with the supplied settings (progress goes to stderr,
-// keeping stdout clean for results).
-func LoadOrPretrain(netPath, topology string, samplesPerClass, epochs int, seed int64) (*dnnmodel.Modeler, error) {
-	return LoadOrPretrainCtx(context.Background(), netPath, topology, samplesPerClass, epochs, seed)
-}
-
-// LoadOrPretrainCtx is LoadOrPretrain with cancellation: a -timeout deadline
-// also bounds the (potentially minutes-long) pretraining run, which stops at
-// the next epoch boundary.
-func LoadOrPretrainCtx(ctx context.Context, netPath, topology string, samplesPerClass, epochs int, seed int64) (*dnnmodel.Modeler, error) {
-	return LoadOrPretrainOpts(ctx, NetOptions{
-		NetPath:         netPath,
-		Topology:        topology,
-		SamplesPerClass: samplesPerClass,
-		Epochs:          epochs,
-		Seed:            seed,
-	})
-}
-
-// LoadOrPretrainOpts is the options form of LoadOrPretrainCtx, adding the
-// float32 fast path and the pretrained-network registry. With a model dir, a
-// run whose effective pretraining configuration was seen before loads the
-// stored network and performs zero training epochs.
-func LoadOrPretrainOpts(ctx context.Context, o NetOptions) (*dnnmodel.Modeler, error) {
+// keeping stdout clean for results). ctx bounds the pretraining run, which
+// stops at the next epoch boundary. With a model dir, a run whose effective
+// pretraining configuration was seen before loads the stored network and
+// performs zero training epochs.
+func LoadOrPretrain(ctx context.Context, o NetOptions) (*dnnmodel.Modeler, error) {
 	if o.NetPath != "" {
 		f, err := os.Open(o.NetPath)
 		if err != nil {

@@ -56,7 +56,7 @@ func TestParseLevels(t *testing.T) {
 }
 
 func TestLoadOrPretrainRoundTrip(t *testing.T) {
-	m, err := LoadOrPretrain("", "tiny", 5, 1, 1)
+	m, err := LoadOrPretrain(context.Background(), NetOptions{Topology: "tiny", SamplesPerClass: 5, Epochs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLoadOrPretrainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	loaded, err := LoadOrPretrain(path, "", 0, 0, 0)
+	loaded, err := LoadOrPretrain(context.Background(), NetOptions{NetPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +79,10 @@ func TestLoadOrPretrainRoundTrip(t *testing.T) {
 }
 
 func TestLoadOrPretrainErrors(t *testing.T) {
-	if _, err := LoadOrPretrain("/nonexistent/net.bin", "", 0, 0, 0); err == nil {
+	if _, err := LoadOrPretrain(context.Background(), NetOptions{NetPath: "/nonexistent/net.bin"}); err == nil {
 		t.Fatal("missing file should fail")
 	}
-	if _, err := LoadOrPretrain("", "bogus-topo", 5, 1, 1); err == nil {
+	if _, err := LoadOrPretrain(context.Background(), NetOptions{Topology: "bogus-topo", SamplesPerClass: 5, Epochs: 1, Seed: 1}); err == nil {
 		t.Fatal("bad topology should fail")
 	}
 }
@@ -118,7 +118,7 @@ func TestTimeoutContext(t *testing.T) {
 func TestLoadOrPretrainCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LoadOrPretrainCtx(ctx, "", "tiny", 2, 1, 1); !errors.Is(err, context.Canceled) {
+	if _, err := LoadOrPretrain(ctx, NetOptions{Topology: "tiny", SamplesPerClass: 2, Epochs: 1, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

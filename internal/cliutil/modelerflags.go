@@ -95,7 +95,7 @@ func (f *ModelerFlags) NewModeler(ctx context.Context, disableDNN, verbose bool)
 	var pretrained *dnnmodel.Modeler
 	if !disableDNN {
 		var err error
-		pretrained, err = LoadOrPretrainOpts(ctx, f.NetOptions(verbose))
+		pretrained, err = LoadOrPretrain(ctx, f.NetOptions(verbose))
 		if err != nil {
 			return nil, err
 		}

@@ -342,7 +342,8 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 	// Step 1: noise estimation.
 	rep.Noise = noise.Analyze(set)
 
-	// Step 2: task properties for domain adaptation.
+	// Step 2: task properties for domain adaptation. Both modelers below
+	// work on these selected lines.
 	lines, err := regression.SelectLines(set)
 	if err != nil {
 		return rep, err
@@ -380,7 +381,7 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 		}
 		rep.Durations.Adapt = time.Since(adaptStart)
 		dnnStart := time.Now()
-		res, err := modeler.ModelCtx(ctx, set)
+		res, err := modeler.ModelCtx(ctx, set, lines)
 		rep.Durations.DNN = time.Since(dnnStart)
 		switch {
 		case err == nil:
@@ -408,7 +409,7 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 		}
 		regStart := time.Now()
 		_, regSpan := obs.StartSpan(ctx, "core.regression")
-		res, err := regression.Model(set, regression.Options{TopK: m.cfg.TopK})
+		res, err := regression.ModelLines(set, lines, regression.Options{TopK: m.cfg.TopK})
 		regSpan.End()
 		rep.Durations.Regression = time.Since(regStart)
 		if err != nil {

@@ -86,7 +86,7 @@ func benchModeler(b *testing.B, prec nn.Precision) *Modeler {
 	return m
 }
 
-func benchBatchSets(n int) []*measurement.Set {
+func benchSets(n int) []*measurement.Set {
 	sets := make([]*measurement.Set, n)
 	for i := range sets {
 		rng := rand.New(rand.NewSource(200 + int64(i)))
@@ -100,7 +100,7 @@ func benchBatchSets(n int) []*measurement.Set {
 // one classification forward per set.
 func BenchmarkModelPerSet(b *testing.B) {
 	m := benchModeler(b, nn.Float64)
-	sets := benchBatchSets(16)
+	sets := benchSets(16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -109,25 +109,5 @@ func BenchmarkModelPerSet(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkPredictBatch models the same sets through the cross-kernel batched
-// inference path (one network forward for all sets) at both precisions.
-func BenchmarkPredictBatch(b *testing.B) {
-	for _, prec := range []nn.Precision{nn.Float64, nn.Float32} {
-		b.Run(prec.String(), func(b *testing.B) {
-			m := benchModeler(b, prec)
-			sets := benchBatchSets(16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range m.ModelBatch(sets) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"extrapdnn/internal/measurement"
 	"extrapdnn/internal/nn"
 	"extrapdnn/internal/pmnf"
+	"extrapdnn/internal/regression"
 )
 
 func cancelledCtx() context.Context {
@@ -78,12 +79,16 @@ func TestModelCtxCancelled(t *testing.T) {
 			Values: []float64{10 + 2*e.Eval(x)},
 		})
 	}
-	if _, err := m.ModelCtx(cancelledCtx(), set); !errors.Is(err, context.Canceled) {
+	lines, err := regression.SelectLines(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ModelCtx(cancelledCtx(), set, lines); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ModelCtx returned %v", err)
 	}
 	// Healthy path through ModelCtx matches Model.
 	resA, errA := m.Model(set)
-	resB, errB := m.ModelCtx(context.Background(), set)
+	resB, errB := m.ModelCtx(context.Background(), set, lines)
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v, %v", errA, errB)
 	}

@@ -435,34 +435,27 @@ func (m *Modeler) DomainAdaptCtx(ctx context.Context, rng *rand.Rand, task TaskI
 	return &Modeler{Net: adapted, TopK: m.TopK, Precision: cfg.Precision}, stats, nil
 }
 
-// ClassifyLine returns the network's top-k exponent classes for one
-// measurement line.
-func (m *Modeler) ClassifyLine(xs, vs []float64) ([]pmnf.Exponents, error) {
-	enc, err := preprocess.Encode(xs, vs)
-	if err != nil {
-		return nil, err
-	}
-	top := m.Net.TopK(enc[:], m.topK())
-	exps := make([]pmnf.Exponents, len(top))
-	for i, cls := range top {
-		exps[i] = pmnf.Class(cls)
-	}
-	return exps, nil
-}
-
 // Model builds a performance model for a measurement set: each parameter's
 // line is classified by the network, the top-k classes become hypotheses
 // whose coefficients are fitted by linear regression, and the best
 // single-parameter hypotheses are combined exactly as in the regression
 // modeler (additive and multiplicative combinations, cross-validated SMAPE).
 func (m *Modeler) Model(set *measurement.Set) (regression.Result, error) {
-	return m.ModelCtx(context.Background(), set)
+	if err := set.Validate(); err != nil {
+		return regression.Result{}, err
+	}
+	lines, err := regression.SelectLines(set)
+	if err != nil {
+		return regression.Result{}, err
+	}
+	return m.ModelCtx(context.Background(), set, lines)
 }
 
-// ModelCtx is Model with cancellation: the context is checked before each
-// parameter's classification/fit, so a cancelled profile run stops between
-// parameters instead of finishing the whole combination search.
-func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set) (regression.Result, error) {
+// ModelCtx is Model for a validated set whose lines were already selected by
+// regression.SelectLines, with cancellation: the context is checked before
+// each parameter's fit, so a cancelled profile run stops between parameters
+// instead of finishing the whole combination search.
+func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set, lines []regression.Line) (regression.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return regression.Result{}, err
 	}
@@ -475,13 +468,6 @@ func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set) (regressio
 		if injected != nil {
 			return regression.Result{}, injected
 		}
-	}
-	if err := set.Validate(); err != nil {
-		return regression.Result{}, err
-	}
-	lines, err := regression.SelectLines(set)
-	if err != nil {
-		return regression.Result{}, err
 	}
 	classes, err := m.classifyLines(lines)
 	if err != nil {
@@ -503,7 +489,7 @@ func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set) (regressio
 
 // classifyLines classifies every selected line of a set in one batched
 // forward pass through a pooled inference session. At the default nn.Float64
-// precision the per-row results are bit-identical to ClassifyLine on each
+// precision the per-row results are bit-identical to Network.TopK on each
 // line (pinned by nn's TopKBatch tests), so batching is invisible to golden
 // outputs; nn.Float32 takes the SIMD logits-ranking fast path.
 func (m *Modeler) classifyLines(lines []regression.Line) ([][]pmnf.Exponents, error) {
@@ -527,133 +513,4 @@ func (m *Modeler) classifyLines(lines []regression.Line) ([][]pmnf.Exponents, er
 	// above, or a concurrent Model call could overwrite the rankings.
 	m.putSession(s)
 	return out, nil
-}
-
-// BatchResult carries one measurement set's outcome from ModelBatch: exactly
-// what Model would have returned for that set alone.
-type BatchResult struct {
-	Result regression.Result
-	Err    error
-}
-
-// ModelBatch models many measurement sets with one cross-set batched
-// inference pass; see ModelBatchCtx.
-func (m *Modeler) ModelBatch(sets []*measurement.Set) []BatchResult {
-	return m.ModelBatchCtx(context.Background(), sets)
-}
-
-// ModelBatchCtx packs the selected lines of every set into a single matrix
-// and classifies them in one network forward — the cross-kernel batched
-// inference path. Each set's regression fit and combination search still run
-// separately, and a set that fails validation, line selection, or encoding
-// only poisons its own slot: the remaining sets are modeled normally. The
-// per-set results equal ModelCtx on each set (bit-identical at the default
-// precision).
-//
-// Cancellation is checked between per-set fit stages and before inference;
-// once cancelled, every remaining slot reports the context error.
-func (m *Modeler) ModelBatchCtx(ctx context.Context, sets []*measurement.Set) []BatchResult {
-	out := make([]BatchResult, len(sets))
-	if len(sets) == 0 {
-		return out
-	}
-	obsPredicts.Add(uint64(len(sets)))
-	obsBatchPredicts.Inc()
-	ctx, span := obs.StartSpan(ctx, "dnnmodel.predict_batch")
-	span.SetInt("sets", int64(len(sets)))
-	defer span.End()
-	if err := ctx.Err(); err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
-	if faultinject.Enabled {
-		var injected error
-		faultinject.Fire(faultinject.SiteDNNModel, &injected)
-		if injected != nil {
-			for i := range out {
-				out[i].Err = injected
-			}
-			return out
-		}
-	}
-
-	// Stage 1: per-set validation and line selection. Row offsets into the
-	// packed batch are assigned here; sets that already failed get offset -1.
-	linesPerSet := make([][]regression.Line, len(sets))
-	offsets := make([]int, len(sets))
-	total := 0
-	for i, set := range sets {
-		offsets[i] = -1
-		if set == nil {
-			out[i].Err = fmt.Errorf("dnnmodel: nil measurement set")
-			continue
-		}
-		if err := set.Validate(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		lines, err := regression.SelectLines(set)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		linesPerSet[i] = lines
-		offsets[i] = total
-		total += len(lines)
-	}
-	span.SetInt("rows", int64(total))
-	if total == 0 {
-		return out
-	}
-
-	// Stage 2: encode everything into one matrix and classify in one forward.
-	// A set with an unencodable line keeps its (zeroed) rows in the batch —
-	// they cost one wasted network row each, and the slot reports the error.
-	x := mat.New(total, preprocess.InputSize)
-	for i, lines := range linesPerSet {
-		if offsets[i] < 0 {
-			continue
-		}
-		for l, line := range lines {
-			if err := preprocess.EncodeTo(x.Row(offsets[i]+l), line.Xs, line.Vs); err != nil {
-				out[i].Err = fmt.Errorf("dnnmodel: parameter %d: %w", l, err)
-				break
-			}
-		}
-	}
-	s := m.session(total)
-	top := s.TopKBatch(x, m.topK())
-
-	// Stage 3: per-set hypothesis fitting and combination search.
-	for i, lines := range linesPerSet {
-		if offsets[i] < 0 || out[i].Err != nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		perParam := make([][]regression.Candidate, len(lines))
-		for l, line := range lines {
-			classes := top[offsets[i]+l]
-			exps := make([]pmnf.Exponents, len(classes))
-			for j, cls := range classes {
-				exps[j] = pmnf.Class(cls)
-			}
-			cands, err := regression.FitLine(line.Xs, line.Vs, exps, m.topK())
-			if err != nil {
-				out[i].Err = fmt.Errorf("dnnmodel: parameter %d: %w", l, err)
-				break
-			}
-			perParam[l] = cands
-		}
-		if out[i].Err != nil {
-			continue
-		}
-		out[i].Result, out[i].Err = regression.Combine(sets[i], perParam)
-	}
-	m.putSession(s)
-	return out
 }

@@ -130,29 +130,6 @@ func TestPretrainLearnsAboveChance(t *testing.T) {
 	t.Logf("held-out exact-class accuracy: %.1f%%, top-3 within 1/4: %.1f%%", acc*100, top3Close*100)
 }
 
-func TestClassifyLineTopK(t *testing.T) {
-	m := getTestModeler(t)
-	xs := []float64{4, 8, 16, 32, 64}
-	vs := make([]float64, len(xs))
-	for i, x := range xs {
-		vs[i] = 2 + 3*x
-	}
-	classes, err := m.ClassifyLine(xs, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(classes) != 3 {
-		t.Fatalf("got %d classes", len(classes))
-	}
-}
-
-func TestClassifyLineErrors(t *testing.T) {
-	m := getTestModeler(t)
-	if _, err := m.ClassifyLine([]float64{1, 2}, []float64{1, 2}); err == nil {
-		t.Fatal("short line should error")
-	}
-}
-
 func TestModelSingleParameterNoiseless(t *testing.T) {
 	m := getTestModeler(t)
 	// Even with an imperfect classifier, the SMAPE-based selection over the

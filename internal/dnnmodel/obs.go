@@ -13,8 +13,6 @@ var (
 		"Domain-adaptation training runs started (cache misses land here; hits do not).")
 	obsPredicts = obs.NewCounter("extrapdnn_dnnmodel_predict_total",
 		"DNN modeling runs (classification + hypothesis fitting).")
-	obsBatchPredicts = obs.NewCounter("extrapdnn_dnnmodel_predict_batches_total",
-		"Cross-set batched inference passes (each covers many predict runs).")
 	obsDatasetBuilds = obs.NewCounter("extrapdnn_dnnmodel_dataset_builds_total",
 		"Synthetic dataset constructions (pretraining and adaptation).")
 	obsDatasetRows = obs.NewCounter("extrapdnn_dnnmodel_dataset_rows_total",

@@ -13,7 +13,6 @@ import (
 	"runtime"
 
 	"extrapdnn/internal/dnnmodel"
-	"extrapdnn/internal/measurement"
 	"extrapdnn/internal/noise"
 	"extrapdnn/internal/parallel"
 	"extrapdnn/internal/pmnf"
@@ -148,45 +147,14 @@ func runSynthLevel(cfg SynthConfig, level float64, seed int64) (SynthRow, error)
 	}
 
 	outcomes := make([]funcOutcome, cfg.Functions)
-	if cfg.AdaptPerTask {
-		parallel.ForEach(cfg.Functions, cfg.Workers, func(f int) {
-			rng := rand.New(rand.NewSource(seed + int64(f)*104729 + 1))
-			modeler := cfg.Pretrained.DomainAdapt(rng, task, cfg.Adapt)
-			outcomes[f] = evalOneFunction(rng, spec, modeler, cfg.NoiseThreshold)
-		})
-		return aggregate(level, cfg, outcomes), nil
-	}
-
-	// Shared-modeler path: all functions of the level use one network, so
-	// their classifications can ride one cross-kernel batched inference pass
-	// per chunk. The restructure is invisible to the results — each function's
-	// rng feeds only its GenInstance, and the batched DNN results equal the
-	// per-set ones (bit-identically at the default precision) — it only moves
-	// the network forwards from per-function calls into ~chunk-sized batches.
-	const chunk = 128
-	for base := 0; base < cfg.Functions; base += chunk {
-		n := cfg.Functions - base
-		if n > chunk {
-			n = chunk
+	parallel.ForEach(cfg.Functions, cfg.Workers, func(f int) {
+		rng := rand.New(rand.NewSource(seed + int64(f)*104729 + 1))
+		modeler := shared
+		if cfg.AdaptPerTask {
+			modeler = cfg.Pretrained.DomainAdapt(rng, task, cfg.Adapt)
 		}
-		insts := make([]synth.Instance, n)
-		regRes := make([]regression.Result, n)
-		regErrs := make([]error, n)
-		sets := make([]*measurement.Set, n)
-		parallel.ForEach(n, cfg.Workers, func(i int) {
-			rng := rand.New(rand.NewSource(seed + int64(base+i)*104729 + 1))
-			insts[i] = synth.GenInstance(rng, spec)
-			sets[i] = insts[i].Set
-			regRes[i], regErrs[i] = regression.Model(insts[i].Set, regression.Options{})
-		})
-		batch := shared.ModelBatch(sets)
-		parallel.ForEach(n, cfg.Workers, func(i int) {
-			if regErrs[i] != nil || batch[i].Err != nil {
-				return // outcomes[base+i] stays the zero (failed) outcome
-			}
-			outcomes[base+i] = scoreOutcome(insts[i], regRes[i], batch[i].Result, cfg.NoiseThreshold)
-		})
-	}
+		outcomes[f] = evalOneFunction(rng, spec, modeler, cfg.NoiseThreshold)
+	})
 	return aggregate(level, cfg, outcomes), nil
 }
 
@@ -199,12 +167,7 @@ func evalOneFunction(rng *rand.Rand, spec synth.TaskSpec, modeler *dnnmodel.Mode
 	if regErr != nil || dnnErr != nil {
 		return funcOutcome{}
 	}
-	return scoreOutcome(inst, regRes, dnnRes, threshold)
-}
 
-// scoreOutcome folds one function's regression and DNN results into its
-// accuracy buckets and evaluation-point errors.
-func scoreOutcome(inst synth.Instance, regRes, dnnRes regression.Result, threshold float64) funcOutcome {
 	// The adaptive modeler: below the threshold pick the better of the two
 	// by cross-validated SMAPE, above it trust the DNN alone.
 	estimated := noise.EstimateLevel(inst.Set)

@@ -114,7 +114,7 @@ func BenchmarkTrainEpochsF32(b *testing.B) {
 // BenchmarkForwardBatched measures the InferSession batched-inference path at
 // representative batch sizes and both precisions: rows=1 is the historical
 // per-line classification cost, rows=64 a typical profile entry, rows=1024 a
-// cross-kernel batch. 0 allocs/op in steady state at every size — that is the
+// large batch. 0 allocs/op in steady state at every size — that is the
 // point of the session's cached views (enforced by check.sh).
 func BenchmarkForwardBatched(b *testing.B) {
 	for _, rows := range []int{1, 64, 1024} {
@@ -139,7 +139,7 @@ func BenchmarkForwardBatched(b *testing.B) {
 // each row separately, exactly what the per-line classification loop did
 // before the batched path existed. Every call re-runs the network through
 // freshly allocated per-layer buffers — this is the "before" column of the
-// batched cross-kernel inference speedup in docs/PERFORMANCE.md.
+// batched inference speedup in docs/PERFORMANCE.md.
 func BenchmarkTopKPerRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	net := benchNet(rng)

@@ -130,15 +130,6 @@ func rankRows[T mat.Float](scores *mat.Dense[T], k int, res [][]int, back, idx [
 	}
 }
 
-// PredictBatch runs every row of x through the network and returns a freshly
-// allocated probability matrix. It is the one-shot convenience over
-// InferSession for callers without a session to reuse; the float64 result is
-// row-for-row bit-identical to calling Predict on each row.
-func (n *Network) PredictBatch(x *mat.Matrix, prec Precision) *mat.Matrix {
-	s := n.NewInferSession(x.Rows(), prec)
-	return s.Forward(x).Clone()
-}
-
 // TopKSelect writes the k most probable class indices of probs into the
 // returned slice, most probable first, reusing idx as scratch when it has
 // capacity for len(probs) entries (pass nil to allocate). k is clamped to

@@ -173,15 +173,6 @@ func TestInferSessionMatchesPredict(t *testing.T) {
 		}
 	}
 
-	batch := net.PredictBatch(x, Float64)
-	for r := 0; r < x.Rows(); r++ {
-		want := net.Predict(x.Row(r))
-		for c := range want {
-			if batch.At(r, c) != want[c] {
-				t.Fatalf("PredictBatch row %d col %d differs from Predict", r, c)
-			}
-		}
-	}
 }
 
 // TestInferSessionFloat32Parity checks the float32 session against the

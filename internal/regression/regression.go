@@ -313,6 +313,13 @@ func Model(set *measurement.Set, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return ModelLines(set, lines, opts)
+}
+
+// ModelLines is Model for a validated set whose lines were already selected
+// by SelectLines, so a caller running several modelers on one set selects
+// its lines once.
+func ModelLines(set *measurement.Set, lines []Line, opts Options) (Result, error) {
 	perParam := make([][]Candidate, len(lines))
 	for l, line := range lines {
 		cands, err := FitLine(line.Xs, line.Vs, opts.classes(), opts.topK())

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Benchmark snapshot: runs the hot-path benchmarks behind docs/PERFORMANCE.md
-# (float32 vs float64 kernels, batched inference, end-to-end training and cross-set
-# prediction) and writes one machine-readable JSON file per day:
+# (float32 vs float64 kernels, batched inference, end-to-end training and per-set
+# modeling) and writes one machine-readable JSON file per day:
 #
 #   ./scripts/bench.sh              # writes BENCH_YYYY-MM-DD.json
 #   BENCH_COUNT=3 ./scripts/bench.sh  # repeat each benchmark, keep every row
@@ -45,8 +45,8 @@ run() {
 run internal/mat 'BenchmarkMulTo$|BenchmarkMulATTo$|BenchmarkMulBTTo$' 100x
 # End-to-end training (f64 vs f32), batched inference, per-row baselines.
 run internal/nn 'BenchmarkTrainEpochs$|BenchmarkTrainEpochsF32$|BenchmarkForwardBatched$|BenchmarkForwardPerRow$|BenchmarkTopKPerRow$|BenchmarkTopKBatch$' 20x
-# Cross-set batched prediction vs the per-set modeling loop.
-run internal/dnnmodel 'BenchmarkModelPerSet$|BenchmarkPredictBatch$' 5x
+# The per-set DNN modeling loop.
+run internal/dnnmodel 'BenchmarkModelPerSet$' 5x
 # Streaming campaign pipeline vs the slice path (incl. on-disk JSONL decode).
 run . 'BenchmarkModelProfileStream$' 5x
 # Daemon serving: one /v1/profile request cold (fresh adaptation cache, every
