@@ -7,7 +7,6 @@ import (
 	"runtime"
 
 	"extrapdnn/internal/design"
-	"extrapdnn/internal/obs"
 	"extrapdnn/internal/parallel"
 	"extrapdnn/internal/profile"
 )
@@ -95,47 +94,21 @@ type StreamReport struct {
 //
 // All entries share the modeler's adaptation cache exactly like
 // ModelProfile: matching task signatures pay a single domain adaptation,
-// and concurrent misses coalesce.
+// and concurrent misses coalesce. The loop itself is the shared campaign
+// pipeline of internal/core (the one behind perfmodeler and modelerd too).
 func (m *AdaptiveModeler) ModelProfileStream(ctx context.Context, src ProfileSource, opts StreamOptions, emit func(StreamReport) error) error {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = m.workers
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	runCtx, runSpan := obs.StartSpan(ctx, "profile.run")
-	emitted := 0
-	if runSpan != nil {
-		runSpan.SetInt("workers", int64(workers))
-		defer func() {
-			runSpan.SetInt("entries", int64(emitted))
-			runSpan.End()
-		}()
-	}
-	return parallel.Stream(ctx,
+	return m.inner.ModelStream(ctx, src,
 		parallel.StreamConfig{Workers: workers, MaxInFlight: opts.MaxInFlight, Ordered: opts.Ordered},
-		src.NextEntry,
-		func(_ context.Context, index int, e ProfileEntry) (*Report, error) {
-			entryCtx, span := obs.StartSpan(runCtx, "profile.entry")
-			if span != nil {
-				span.SetString(obs.KernelAttr, e.Kernel)
-				span.SetString("metric", e.Metric)
-				defer span.End()
+		func(index int, e ProfileEntry, rep Report, err error) error {
+			pr := ProfileReport{Kernel: e.Kernel, Metric: e.Metric, Err: err}
+			if err == nil {
+				pr.Report = &rep
 			}
-			rep, err := m.ModelCtx(entryCtx, e.Set)
-			if err != nil {
-				span.SetString("error", err.Error())
-				return nil, err
-			}
-			return &rep, nil
-		},
-		func(index int, e ProfileEntry, rep *Report, err error) error {
-			emitted++
-			return emit(StreamReport{
-				Index:         index,
-				ProfileReport: ProfileReport{Kernel: e.Kernel, Metric: e.Metric, Report: rep, Err: err},
-			})
+			return emit(StreamReport{Index: index, ProfileReport: pr})
 		})
 }
 

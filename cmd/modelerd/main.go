@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -163,11 +162,7 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	if *pprofFlag {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		cliutil.MountPprof(mux)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -23,13 +23,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"extrapdnn/internal/cliutil"
 	"extrapdnn/internal/core"
 	"extrapdnn/internal/dnnmodel"
-	"extrapdnn/internal/obs"
 	"extrapdnn/internal/parallel"
 	"extrapdnn/internal/pmnf"
 	"extrapdnn/internal/profile"
@@ -92,16 +89,8 @@ func main() {
 
 	values := make([]float64, m)
 	if *at != "" {
-		parts := strings.Split(*at, ",")
-		if len(parts) != m {
-			fatal(fmt.Errorf("-at has %d values, model has %d parameters", len(parts), m))
-		}
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				fatal(fmt.Errorf("invalid value %q: %w", p, err))
-			}
-			values[i] = v
+		if values, err = cliutil.ParsePoint(*at, m); err != nil {
+			fatal(fmt.Errorf("-at: %w", err))
 		}
 	}
 
@@ -158,17 +147,8 @@ func evalProfile(ctx context.Context, path string, netOpts cliutil.NetOptions, a
 	}
 	var point []float64
 	if at != "" {
-		parts := strings.Split(at, ",")
-		if len(parts) != prof.NumParams() {
-			return 0, fmt.Errorf("-at has %d values, profile has %d parameters", len(parts), prof.NumParams())
-		}
-		point = make([]float64, len(parts))
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return 0, fmt.Errorf("invalid value %q: %w", p, err)
-			}
-			point[i] = v
+		if point, err = cliutil.ParsePoint(at, prof.NumParams()); err != nil {
+			return 0, fmt.Errorf("-at: %w", err)
 		}
 	}
 	pretrained, err := cliutil.LoadOrPretrain(ctx, netOpts)
@@ -183,20 +163,6 @@ func evalProfile(ctx context.Context, path string, netOpts cliutil.NetOptions, a
 	if err != nil {
 		return 0, err
 	}
-	runCtx, runSpan := obs.StartSpan(ctx, "profile.run")
-	if runSpan != nil {
-		runSpan.SetInt("entries", int64(len(prof.Entries)))
-		defer runSpan.End()
-	}
-	reps, errs := parallel.MapErrCtx(ctx, len(prof.Entries), workers, func(i int) (core.Report, error) {
-		entryCtx, span := obs.StartSpan(runCtx, "profile.entry")
-		if span != nil {
-			span.SetString(obs.KernelAttr, prof.Entries[i].Kernel)
-			span.SetString("metric", prof.Entries[i].Metric)
-			defer span.End()
-		}
-		return modeler.ModelCtx(entryCtx, prof.Entries[i].Set)
-	})
 	fmt.Printf("application: %s (%d kernels, %d parameters)\n",
 		prof.Application, len(prof.Kernels()), prof.NumParams())
 	header := fmt.Sprintf("%-22s | %-9s | %s", "kernel", "SMAPE", "model")
@@ -204,37 +170,35 @@ func evalProfile(ctx context.Context, path string, netOpts cliutil.NetOptions, a
 		header = fmt.Sprintf("%-22s | %-9s | %-14s | %s", "kernel", "SMAPE", fmt.Sprintf("f(%s)", at), "model")
 	}
 	fmt.Println(header)
-	for i, e := range prof.Entries {
-		if errs != nil && errs[i] != nil {
-			failed++
-			fmt.Printf("%-22s | modeling failed: %v\n", e.Kernel, errs[i])
-			continue
-		}
-		rep := reps[i]
-		suffix := ""
-		if rep.Resilience.Fallback != core.FallbackNone {
-			suffix = fmt.Sprintf("  [degraded: %s fallback, %d adaptation attempt(s)]",
-				rep.Resilience.Fallback, rep.Resilience.AdaptAttempts)
-		} else if rep.Resilience.Outcome() == core.OutcomeRetried {
-			suffix = fmt.Sprintf("  [recovered: %d adaptation attempts]", rep.Resilience.AdaptAttempts)
-		}
-		if point != nil {
-			fmt.Printf("%-22s | %8.3f%% | %-14g | %s%s\n",
-				e.Kernel, rep.Model.SMAPE, rep.Model.Model.Eval(point), rep.Model.Model, suffix)
-		} else {
-			fmt.Printf("%-22s | %8.3f%% | %s%s\n", e.Kernel, rep.Model.SMAPE, rep.Model.Model, suffix)
-		}
-	}
+	// Rows print in input order as kernels complete; on a deadline, kernels
+	// that never started print nothing.
+	streamErr := modeler.ModelStream(ctx, profile.Entries(prof.Entries), parallel.StreamConfig{Workers: workers, Ordered: true},
+		func(_ int, e profile.Entry, rep core.Report, err error) error {
+			if err != nil {
+				failed++
+				fmt.Printf("%-22s | modeling failed: %v\n", e.Kernel, err)
+				return nil
+			}
+			note := cliutil.ResilienceNote(rep.Resilience)
+			if point != nil {
+				fmt.Printf("%-22s | %8.3f%% | %-14g | %s%s\n",
+					e.Kernel, rep.Model.SMAPE, rep.Model.Model.Eval(point), rep.Model.Model, note)
+			} else {
+				fmt.Printf("%-22s | %8.3f%% | %s%s\n", e.Kernel, rep.Model.SMAPE, rep.Model.Model, note)
+			}
+			return nil
+		})
 	if verbose {
 		cliutil.PrintCacheStats(os.Stdout, modeler.CacheStats())
 		cliutil.PrintRunSummary(os.Stdout)
 	}
-	// A deadline expiry outranks partial failure: the missing kernels were
-	// never tried, so the caller should see exit code 4, not 3.
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return failed, ctxErr
+	// A deadline expiry (the stream's only possible error here) outranks
+	// partial failure: the missing kernels were never tried, so the caller
+	// should see exit code 4, not 3.
+	if streamErr == nil {
+		streamErr = ctx.Err()
 	}
-	return failed, nil
+	return failed, streamErr
 }
 
 func fatal(err error) {

@@ -71,17 +71,7 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	var set *measurement.Set
-	switch *format {
-	case "json":
-		set, err = measurement.ReadJSON(r)
-	case "text":
-		set, err = measurement.ReadText(r, *params)
-	case "extrap":
-		set, err = measurement.ReadExtraP(r)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
+	set, err := measurement.ReadFormat(r, *format, *params, measurement.ReadConfig{})
 	if err != nil {
 		fatal(err)
 	}

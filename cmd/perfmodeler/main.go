@@ -28,19 +28,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"extrapdnn/internal/client"
 	"extrapdnn/internal/cliutil"
 	"extrapdnn/internal/core"
 	"extrapdnn/internal/measurement"
-	"extrapdnn/internal/obs"
 	"extrapdnn/internal/parallel"
 	"extrapdnn/internal/pmnf"
 	"extrapdnn/internal/profile"
 	"extrapdnn/internal/regression"
 	"extrapdnn/internal/scaling"
+	"extrapdnn/internal/server"
 )
 
 func main() {
@@ -78,6 +76,15 @@ func main() {
 	}
 	defer obsShutdown()
 
+	o := options{
+		in: *in, format: *format, params: *params,
+		profilePath: *profilePath, filter: *kernelFilter,
+		outJSONL: *outJSONL, resume: *resume,
+		predict: *predict, interval: *interval, scalingParam: *scalingParam,
+		jsonOut: *jsonOut, verbose: *verbose,
+		seed: mf.Seed, noSanitize: mf.NoSanitize,
+	}
+	var b backend
 	if *serverURL != "" {
 		if *regressionOnly {
 			fatal(fmt.Errorf("-regression-only is a daemon-side choice in -server mode: start modelerd -regression-only instead"))
@@ -86,97 +93,204 @@ func main() {
 		cl.ClientID = *clientIDFlag
 		cl.Retry = client.RetryPolicy{MaxAttempts: *retries, Budget: *retryBudget}
 		cl.IdleTimeout = *streamIdle
-		runRemote(ctx, cl, remoteOpts{
-			in: *in, format: *format, params: *params,
-			profilePath: *profilePath, filter: *kernelFilter,
-			outJSONL: *outJSONL, resume: *resume,
-			predict: *predict, interval: *interval, scalingParam: *scalingParam,
-			jsonOut: *jsonOut, verbose: *verbose,
-			seed: mf.Seed, noSanitize: mf.NoSanitize,
-		}, obsShutdown)
+		b = remote{cl}
+	} else {
+		modeler, err := mf.NewModeler(ctx, *regressionOnly, *verbose)
+		if err != nil {
+			fatal(err)
+		}
+		b = local{modeler, mf.Workers}
+	}
+
+	if o.profilePath == "" {
+		modelSet(ctx, b, o)
 		return
 	}
-
-	modeler, err := mf.NewModeler(ctx, *regressionOnly, *verbose)
-	if err != nil {
-		fatal(err)
+	if code := runCampaign(ctx, b, o); code != cliutil.ExitOK {
+		obsShutdown()
+		os.Exit(code)
 	}
+}
 
-	if *profilePath != "" {
-		failed, total, runErr := modelProfile(ctx, modeler, profileOpts{
-			path:       *profilePath,
-			filter:     *kernelFilter,
-			workers:    mf.Workers,
-			noSanitize: mf.NoSanitize,
-			outJSONL:   *outJSONL,
-			resume:     *resume,
+// runCampaign is the -profile mode: it models the campaign on the backend,
+// reports run-level errors and (-v) statistics, and returns the exit code.
+func runCampaign(ctx context.Context, b backend, o options) int {
+	failed, total, runErr := modelProfile(ctx, b, o)
+	if runErr != nil {
+		fmt.Fprintln(os.Stderr, "perfmodeler:", runErr)
+	}
+	if o.verbose {
+		b.printStats(ctx)
+	}
+	code := cliutil.CampaignExitCode(runErr, failed, total)
+	if code == cliutil.ExitPartialFailure {
+		fmt.Fprintf(os.Stderr, "perfmodeler: %d kernel(s) failed, results above are partial\n", failed)
+	}
+	return code
+}
+
+// options bundles the flags the modeling modes read.
+type options struct {
+	in, format   string
+	params       int
+	profilePath  string
+	filter       string
+	outJSONL     string
+	resume       bool
+	predict      string
+	interval     bool
+	scalingParam int
+	jsonOut      bool
+	verbose      bool
+	seed         int64
+	noSanitize   bool
+}
+
+// backend is where the modeling runs: in this process or on a modelerd
+// daemon. Input, checkpointing, output and exit codes are the same for both.
+type backend interface {
+	// model models one measurement set.
+	model(ctx context.Context, set *measurement.Set) (report, error)
+	// stream models a campaign and hands each kernel to emit in input order:
+	// its result line, the resilience note of its table row, and (locally)
+	// its modeling error, which the results writer needs to tell an
+	// interrupted kernel from a failed one.
+	stream(ctx context.Context, app string, paramNames []string, src profile.Source,
+		emit func(line cliutil.ResultLine, note string, entryErr error) error) error
+	// printStats prints the -v adaptation-cache report.
+	printStats(ctx context.Context)
+}
+
+// report is one modeled measurement set as the single-set mode prints it.
+type report struct {
+	server.ModelResponse
+	fallbackErr error  // why a local run degraded; the wire form omits it
+	timing      string // the "modeling time:" value
+}
+
+// local models in this process with a pretrained (or loaded) network.
+type local struct {
+	modeler *core.Modeler
+	workers int
+}
+
+func (l local) model(ctx context.Context, set *measurement.Set) (report, error) {
+	rep, err := l.modeler.ModelCtx(ctx, set)
+	if err != nil {
+		return report{}, err
+	}
+	return report{server.NewModelResponse(rep), rep.Resilience.FallbackErr,
+		fmt.Sprintf("%v (adaptation %v)", rep.Durations.Total, rep.Durations.Adapt)}, nil
+}
+
+func (l local) stream(ctx context.Context, _ string, _ []string, src profile.Source,
+	emit func(cliutil.ResultLine, string, error) error) error {
+	return l.modeler.ModelStream(ctx, src, parallel.StreamConfig{Workers: l.workers, Ordered: true},
+		func(_ int, e profile.Entry, rep core.Report, err error) error {
+			return emit(cliutil.NewResultLine(e, rep, err), cliutil.ResilienceNote(rep.Resilience), err)
 		})
-		if runErr != nil {
-			fmt.Fprintln(os.Stderr, "perfmodeler:", runErr)
+}
+
+func (l local) printStats(context.Context) {
+	cliutil.PrintCacheStats(os.Stdout, l.modeler.CacheStats())
+	cliutil.PrintRunSummary(os.Stdout)
+}
+
+// remote models on a modelerd daemon (-server).
+type remote struct{ cl *client.Client }
+
+func (r remote) model(ctx context.Context, set *measurement.Set) (report, error) {
+	resp, err := r.cl.Model(ctx, set)
+	if err != nil {
+		return report{}, err
+	}
+	return report{ModelResponse: *resp, timing: fmt.Sprintf("%.1fms on the daemon (adaptation %.1fms)",
+		resp.Durations.TotalMS, resp.Durations.AdaptMS)}, nil
+}
+
+// stream hands on the daemon's lines verbatim: they are already in the
+// canonical checkpoint format, which keeps remote results files
+// byte-identical to local ones, so local and remote legs can share one
+// -resume file.
+func (r remote) stream(ctx context.Context, app string, paramNames []string, src profile.Source,
+	emit func(cliutil.ResultLine, string, error) error) error {
+	_, err := r.cl.StreamProfile(ctx, app, paramNames, src, func(line cliutil.ResultLine) error {
+		note := ""
+		if line.Fallback != "" {
+			note = fmt.Sprintf("  [degraded: %s fallback]", line.Fallback)
 		}
-		if *verbose {
-			cliutil.PrintCacheStats(os.Stdout, modeler.CacheStats())
-			cliutil.PrintRunSummary(os.Stdout)
-		}
-		switch code := cliutil.CampaignExitCode(runErr, failed, total); code {
-		case cliutil.ExitOK:
-		case cliutil.ExitPartialFailure:
-			fmt.Fprintf(os.Stderr, "perfmodeler: %d kernel(s) failed, results above are partial\n", failed)
-			obsShutdown()
-			os.Exit(code)
-		default:
-			obsShutdown()
-			os.Exit(code)
-		}
+		return emit(line, note, nil)
+	})
+	return err
+}
+
+// printStats reports the daemon's adaptation cache, which is where the
+// hit/miss counters of a -server run live.
+func (r remote) printStats(ctx context.Context) {
+	h, err := r.cl.Health(ctx)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "perfmodeler: daemon stats unavailable: %v\n", err)
 		return
 	}
+	fmt.Printf("daemon: %s, %d request(s), %d kernel(s), adaptation cache %d hit(s) / %d miss(es)\n",
+		h.Status, h.Requests, h.Kernels, h.CacheHits, h.CacheMisses)
+}
 
-	set, err := readInput(*in, *format, *params, mf.NoSanitize)
+// modelSet is the single-set mode: read and validate -in locally, model it
+// on the backend, and print the report (or -json), -predict and -scaling.
+func modelSet(ctx context.Context, b backend, o options) {
+	set, err := readInput(o.in, o.format, o.params, o.noSanitize)
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := modeler.ModelCtx(ctx, set)
+	rep, err := b.model(ctx, set)
 	if err != nil {
 		fatal(err)
 	}
-
-	if *jsonOut {
-		printJSONReport(jsonReport{rep.Model.Model, rep.Model.SMAPE, rep.Noise.Global,
-			rep.SelectedDNN, rep.UsedRegression, fallbackLabel(rep),
-			rep.Resilience.AdaptAttempts, rep.Resilience.Outcome()})
+	if o.jsonOut {
+		printJSONReport(jsonReport{rep.Model, rep.SMAPE, rep.Noise.Global,
+			rep.SelectedDNN, rep.UsedRegression, rep.Fallback,
+			rep.AdaptAttempts, rep.Resilience})
 		return
 	}
 
 	fmt.Printf("measurements:      %d points, %d repetitions max\n", len(set.Data), set.Repetitions())
 	fmt.Printf("estimated noise:   %.2f%% (per-point mean %.2f%%, range [%.2f%%, %.2f%%])\n",
 		rep.Noise.Global*100, rep.Noise.Mean*100, rep.Noise.Min*100, rep.Noise.Max*100)
+	selected := "regression"
+	if rep.SelectedDNN {
+		selected = "dnn"
+	}
 	fmt.Printf("modelers used:     regression=%v dnn=%v (selected: %s)\n",
-		rep.UsedRegression, rep.UsedDNN, selectedName(rep))
-	if r := rep.Resilience; r.Fallback != core.FallbackNone {
-		fmt.Printf("degraded:          %s fallback after %d adaptation attempt(s): %v\n",
-			r.Fallback, r.AdaptAttempts, r.FallbackErr)
-	} else if r.Outcome() == core.OutcomeRetried {
+		rep.UsedRegression, rep.UsedDNN, selected)
+	if rep.Fallback != "" {
+		cause := ""
+		if rep.fallbackErr != nil {
+			cause = ": " + rep.fallbackErr.Error()
+		}
+		fmt.Printf("degraded:          %s fallback after %d adaptation attempt(s)%s\n",
+			rep.Fallback, rep.AdaptAttempts, cause)
+	} else if rep.Resilience == core.OutcomeRetried {
 		// A successful retry is healthy output but not a first-try success;
 		// surface it instead of conflating the two.
 		fmt.Printf("recovered:         adaptation succeeded on attempt %d after divergence retries\n",
-			r.AdaptAttempts)
+			rep.AdaptAttempts)
 	}
-	fmt.Printf("model:             %s\n", rep.Model.Model)
-	fmt.Printf("cross-val SMAPE:   %.3f%%\n", rep.Model.SMAPE)
+	fmt.Printf("model:             %s\n", rep.Model)
+	fmt.Printf("cross-val SMAPE:   %.3f%%\n", rep.SMAPE)
 	if rep.Regression != nil && rep.DNN != nil {
 		fmt.Printf("  regression:      %s  (SMAPE %.3f%%)\n", rep.Regression.Model, rep.Regression.SMAPE)
 		fmt.Printf("  dnn:             %s  (SMAPE %.3f%%)\n", rep.DNN.Model, rep.DNN.SMAPE)
 	}
-	fmt.Printf("modeling time:     %v (adaptation %v)\n", rep.Durations.Total, rep.Durations.Adapt)
-	if *verbose {
-		cliutil.PrintCacheStats(os.Stdout, modeler.CacheStats())
-		cliutil.PrintRunSummary(os.Stdout)
+	fmt.Printf("modeling time:     %s\n", rep.timing)
+	if o.verbose {
+		b.printStats(ctx)
 	}
 
-	if err := printPrediction(rep.Model.Model, *predict, *interval, set, mf.Seed); err != nil {
+	if err := printPrediction(rep.Model, o.predict, o.interval, set, o.seed); err != nil {
 		fatal(err)
 	}
-	if err := printScaling(rep.Model.Model, *scalingParam); err != nil {
+	if err := printScaling(rep.Model, o.scalingParam); err != nil {
 		fatal(err)
 	}
 }
@@ -209,9 +323,9 @@ func printPrediction(model pmnf.Model, predict string, interval bool, set *measu
 	if predict == "" {
 		return nil
 	}
-	pt, err := parsePoint(predict, model.NumParams())
+	pt, err := cliutil.ParsePoint(predict, model.NumParams())
 	if err != nil {
-		return err
+		return fmt.Errorf("-predict: %w", err)
 	}
 	fmt.Printf("prediction at %v:  %g\n", pt, model.Eval(pt))
 	if interval {
@@ -238,119 +352,20 @@ func printScaling(model pmnf.Model, scalingParam int) error {
 	return nil
 }
 
-// remoteOpts bundles everything the -server client mode needs from the flags.
-type remoteOpts struct {
-	in, format   string
-	params       int
-	profilePath  string
-	filter       string
-	outJSONL     string
-	resume       bool
-	predict      string
-	interval     bool
-	scalingParam int
-	jsonOut      bool
-	verbose      bool
-	seed         int64
-	noSanitize   bool
-}
-
-// runRemote is the -server client mode: inputs are read and validated
-// locally, the modeling happens on the daemon, and output (table, -json,
-// -out-jsonl, -predict, -scaling) matches a local run.
-func runRemote(ctx context.Context, cl *client.Client, o remoteOpts, obsShutdown func()) {
-	if o.profilePath != "" {
-		failed, total, runErr := modelProfileRemote(ctx, cl, o)
-		if runErr != nil {
-			fmt.Fprintln(os.Stderr, "perfmodeler:", runErr)
-		}
-		if o.verbose {
-			printDaemonStats(ctx, cl)
-		}
-		switch code := cliutil.CampaignExitCode(runErr, failed, total); code {
-		case cliutil.ExitOK:
-		case cliutil.ExitPartialFailure:
-			fmt.Fprintf(os.Stderr, "perfmodeler: %d kernel(s) failed, results above are partial\n", failed)
-			obsShutdown()
-			os.Exit(code)
-		default:
-			obsShutdown()
-			os.Exit(code)
-		}
-		return
-	}
-
-	set, err := readInput(o.in, o.format, o.params, o.noSanitize)
-	if err != nil {
-		fatal(err)
-	}
-	resp, err := cl.Model(ctx, set)
-	if err != nil {
-		fatal(err)
-	}
-
-	if o.jsonOut {
-		printJSONReport(jsonReport{resp.Model, resp.SMAPE, resp.Noise.Global,
-			resp.SelectedDNN, resp.UsedRegression, resp.Fallback,
-			resp.AdaptAttempts, resp.Resilience})
-		return
-	}
-
-	fmt.Printf("measurements:      %d points, %d repetitions max\n", len(set.Data), set.Repetitions())
-	fmt.Printf("estimated noise:   %.2f%% (per-point mean %.2f%%, range [%.2f%%, %.2f%%])\n",
-		resp.Noise.Global*100, resp.Noise.Mean*100, resp.Noise.Min*100, resp.Noise.Max*100)
-	selected := "regression"
-	if resp.SelectedDNN {
-		selected = "dnn"
-	}
-	fmt.Printf("modelers used:     regression=%v dnn=%v (selected: %s)\n",
-		resp.UsedRegression, resp.UsedDNN, selected)
-	if resp.Fallback != "" {
-		fmt.Printf("degraded:          %s fallback after %d adaptation attempt(s)\n",
-			resp.Fallback, resp.AdaptAttempts)
-	} else if resp.Resilience == core.OutcomeRetried {
-		fmt.Printf("recovered:         adaptation succeeded on attempt %d after divergence retries\n",
-			resp.AdaptAttempts)
-	}
-	fmt.Printf("model:             %s\n", resp.Model)
-	fmt.Printf("cross-val SMAPE:   %.3f%%\n", resp.SMAPE)
-	if resp.Regression != nil && resp.DNN != nil {
-		fmt.Printf("  regression:      %s  (SMAPE %.3f%%)\n", resp.Regression.Model, resp.Regression.SMAPE)
-		fmt.Printf("  dnn:             %s  (SMAPE %.3f%%)\n", resp.DNN.Model, resp.DNN.SMAPE)
-	}
-	fmt.Printf("modeling time:     %.1fms on the daemon (adaptation %.1fms)\n",
-		resp.Durations.TotalMS, resp.Durations.AdaptMS)
-	if o.verbose {
-		printDaemonStats(ctx, cl)
-	}
-
-	if err := printPrediction(resp.Model, o.predict, o.interval, set, o.seed); err != nil {
-		fatal(err)
-	}
-	if err := printScaling(resp.Model, o.scalingParam); err != nil {
-		fatal(err)
-	}
-}
-
-// printDaemonStats is the -server counterpart of the local -v cache report:
-// the adaptation cache lives in the daemon, so its health endpoint is where
-// hit/miss counters come from.
-func printDaemonStats(ctx context.Context, cl *client.Client) {
-	h, err := cl.Health(ctx)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfmodeler: daemon stats unavailable: %v\n", err)
-		return
-	}
-	fmt.Printf("daemon: %s, %d request(s), %d kernel(s), adaptation cache %d hit(s) / %d miss(es)\n",
-		h.Status, h.Requests, h.Kernels, h.CacheHits, h.CacheMisses)
-}
-
-// modelProfileRemote streams a campaign through the daemon. The profile is
-// scanned, validated, and checkpoint-filtered locally — a resumed run never
-// sends completed entries over the wire — and the daemon's result lines are
-// checkpointed and printed in input order as they arrive, exactly like the
-// local pipeline.
-func modelProfileRemote(ctx context.Context, cl *client.Client, o remoteOpts) (failed, total int, err error) {
+// modelProfile models every kernel of an application profile (or a single
+// kernel when -kernel is set) on the backend, streaming: entries are decoded,
+// modeled with bounded concurrency, and printed (and, with -out-jsonl,
+// appended to the results file) in input order as they complete — a
+// campaign of any size runs in O(workers) memory and a killed run keeps
+// everything already printed. The profile is scanned, validated and
+// checkpoint-filtered locally, so a resumed run never models (or sends)
+// completed entries. Since each result line is a pure function of its
+// entry's measurement set, the output is identical for any worker count and
+// either backend, and a resumed run appends lines byte-identical to an
+// uninterrupted run's. A failed kernel never takes the others down: it
+// prints an error line and counts toward the returned failure total (exit
+// code 3).
+func modelProfile(ctx context.Context, b backend, o options) (failed, total int, err error) {
 	f, err := os.Open(o.profilePath)
 	if err != nil {
 		return 0, 0, err
@@ -369,7 +384,7 @@ func modelProfileRemote(ctx context.Context, cl *client.Client, o remoteOpts) (f
 	if o.filter != "" {
 		src = profile.Filter(src, func(e profile.Entry) bool { return e.Kernel == o.filter })
 	}
-	sink, src, err := openResults(profileOpts{outJSONL: o.outJSONL, resume: o.resume}, src)
+	sink, src, err := openResults(o, src)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -377,9 +392,9 @@ func modelProfileRemote(ctx context.Context, cl *client.Client, o remoteOpts) (f
 
 	fmt.Printf("application: %s (%d parameters)\n", sc.Application(), sc.NumParams())
 
-	// Pull the first remaining entry before opening the request: a fully
-	// checkpointed (or fully filtered) campaign has nothing to send, and the
-	// daemon rightly rejects an entry-less profile.
+	// Pull the first remaining entry before modeling: a fully checkpointed
+	// (or fully filtered) campaign has nothing to model, and the daemon
+	// rightly rejects an entry-less profile.
 	first, err := src.NextEntry()
 	if err == io.EOF {
 		if sink.checkpointed != nil && sink.checkpointed.Skipped() > 0 {
@@ -387,10 +402,9 @@ func modelProfileRemote(ctx context.Context, cl *client.Client, o remoteOpts) (f
 				sink.checkpointed.Skipped(), o.outJSONL)
 			return 0, 0, nil
 		}
-		if o.filter != "" {
-			return 0, 0, fmt.Errorf("no kernel matched %q", o.filter)
-		}
-		return 0, 0, fmt.Errorf("profile: no entries")
+		// The scanner rejects an entry-less profile, so only -kernel can
+		// have emptied the source.
+		return 0, 0, fmt.Errorf("no kernel matched %q", o.filter)
 	}
 	if err != nil {
 		return 0, 0, err
@@ -398,40 +412,36 @@ func modelProfileRemote(ctx context.Context, cl *client.Client, o remoteOpts) (f
 	src = &prepended{first: &first, rest: src}
 
 	fmt.Printf("%-22s | %-8s | %-9s | %s\n", "kernel", "noise", "SMAPE", "model")
-	_, runErr := cl.StreamProfile(ctx, sc.Application(), sc.ParamNames(), src, func(line cliutil.ResultLine) error {
-		// The daemon's lines are already in the canonical checkpoint format;
-		// writing them verbatim keeps remote results byte-identical to local
-		// ones, so local and remote legs can share one -resume file.
-		if sink.rw != nil {
-			if wErr := sink.rw.WriteResult(line, nil); wErr != nil {
-				return wErr
+	runErr := b.stream(ctx, sc.Application(), sc.ParamNames(), src,
+		func(line cliutil.ResultLine, note string, entryErr error) error {
+			// The JSONL checkpoint write comes first: a line is only printed
+			// once it is durable, and a cancellation halts here
+			// (ErrInterrupted) before anything half-done reaches the file.
+			if sink.rw != nil {
+				if wErr := sink.rw.WriteResult(line, entryErr); wErr != nil {
+					return wErr
+				}
 			}
-		}
-		total++
-		if line.Error != "" {
-			failed++
-			fmt.Printf("%-22s | modeling failed: %s\n", line.Kernel, line.Error)
+			total++
+			if line.Error != "" {
+				failed++
+				fmt.Printf("%-22s | modeling failed: %s\n", line.Kernel, line.Error)
+				return nil
+			}
+			fmt.Printf("%-22s | %6.2f%% | %8.3f%% | %s%s\n",
+				line.Kernel, line.Noise*100, line.SMAPE, line.Model, note)
 			return nil
-		}
-		row := fmt.Sprintf("%-22s | %6.2f%% | %8.3f%% | %s",
-			line.Kernel, line.Noise*100, line.SMAPE, line.Model)
-		if line.Fallback != "" {
-			row += fmt.Sprintf("  [degraded: %s fallback]", line.Fallback)
-		}
-		fmt.Println(row)
-		return nil
-	})
+		})
 	if sink.checkpointed != nil {
 		fmt.Printf("resumed: %d kernel(s) already in %s, %d newly modeled\n",
 			sink.checkpointed.Skipped(), o.outJSONL, total)
 	}
-	if runErr != nil {
-		return failed, total, runErr
+	// A deadline expiry outranks partial failure: the missing kernels were
+	// never tried, so the caller should see exit code 4, not 3.
+	if runErr == nil {
+		runErr = ctx.Err()
 	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return failed, total, ctxErr
-	}
-	return failed, total, nil
+	return failed, total, runErr
 }
 
 // prepended puts one already-pulled entry back in front of a source.
@@ -447,33 +457,6 @@ func (p *prepended) NextEntry() (profile.Entry, error) {
 		return e, nil
 	}
 	return p.rest.NextEntry()
-}
-
-// parsePoint parses "4096,1e6" into a parameter-value vector of length m.
-func parsePoint(s string, m int) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != m {
-		return nil, fmt.Errorf("-predict has %d values, model has %d parameters", len(parts), m)
-	}
-	out := make([]float64, m)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("invalid value %q: %w", p, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// profileOpts bundles the -profile flag family.
-type profileOpts struct {
-	path       string
-	filter     string
-	workers    int
-	noSanitize bool
-	outJSONL   string
-	resume     bool
 }
 
 // resultsSink is the open -out-jsonl results/checkpoint stream.
@@ -493,7 +476,7 @@ func (s *resultsSink) close() {
 // run or, with -resume, load the existing file's done-set and wrap src so
 // completed entries are skipped entirely (zero redundant adaptations — local
 // or remote). The returned source replaces src.
-func openResults(o profileOpts, src profile.Source) (*resultsSink, profile.Source, error) {
+func openResults(o options, src profile.Source) (*resultsSink, profile.Source, error) {
 	sink := &resultsSink{}
 	if o.outJSONL == "" {
 		if o.resume {
@@ -529,128 +512,6 @@ func openResults(o profileOpts, src profile.Source) (*resultsSink, profile.Sourc
 	return sink, src, nil
 }
 
-// modelProfile models every kernel of an application profile (or a single
-// kernel when filter is nonempty), streaming: entries are decoded, modeled
-// with bounded concurrency, and printed (and, with -out-jsonl, appended to
-// the results file) in input order as they complete — a campaign of any size
-// runs in O(workers) memory and a killed run keeps everything already
-// printed. Since core.Modeler.Model is a pure function of each measurement
-// set, the output is identical for any worker count, and a resumed run
-// (-resume) appends lines byte-identical to an uninterrupted run's. A failed
-// kernel — panic, divergence with fallback disabled — never takes the others
-// down: it prints an error line and counts toward the returned failure
-// total (exit code 3).
-func modelProfile(ctx context.Context, modeler *core.Modeler, o profileOpts) (failed, total int, err error) {
-	f, err := os.Open(o.path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	sc, err := profile.NewScannerWith(f, profile.ReadOptions{
-		Read: measurement.ReadConfig{NoSanitize: o.noSanitize},
-		OnSanitize: func(e *profile.Entry, rep measurement.SanitizeReport) {
-			fmt.Fprintf(os.Stderr, "perfmodeler: %s: sanitized input: %s\n", e.Kernel, rep.String())
-		},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var src profile.Source = sc
-	if o.filter != "" {
-		src = profile.Filter(src, func(e profile.Entry) bool { return e.Kernel == o.filter })
-	}
-
-	// The results file doubles as the checkpoint: -resume loads its done-set,
-	// skips those entries entirely (zero redundant adaptations), and appends.
-	sink, src, err := openResults(o, src)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer sink.close()
-
-	fmt.Printf("application: %s (%d parameters)\n", sc.Application(), sc.NumParams())
-	fmt.Printf("%-22s | %-8s | %-9s | %s\n", "kernel", "noise", "SMAPE", "model")
-	runCtx, runSpan := obs.StartSpan(ctx, "profile.run")
-	if runSpan != nil {
-		defer func() {
-			runSpan.SetInt("entries", int64(total))
-			runSpan.End()
-		}()
-	}
-	streamErr := parallel.Stream(ctx,
-		parallel.StreamConfig{Workers: o.workers, Ordered: true},
-		src.NextEntry,
-		func(_ context.Context, i int, e profile.Entry) (core.Report, error) {
-			entryCtx, span := obs.StartSpan(runCtx, "profile.entry")
-			if span != nil {
-				span.SetString(obs.KernelAttr, e.Kernel)
-				span.SetString("metric", e.Metric)
-				defer span.End()
-			}
-			return modeler.ModelCtx(entryCtx, e.Set)
-		},
-		func(i int, e profile.Entry, rep core.Report, entryErr error) error {
-			// The JSONL checkpoint write comes first: a line is only printed
-			// once it is durable, and a cancellation halts here (ErrInterrupted)
-			// before anything half-done reaches the file.
-			if sink.rw != nil {
-				if wErr := sink.rw.WriteResult(resultLine(e, rep, entryErr), entryErr); wErr != nil {
-					return wErr
-				}
-			}
-			total++
-			if entryErr != nil {
-				failed++
-				fmt.Printf("%-22s | modeling failed: %v\n", e.Kernel, entryErr)
-				return nil
-			}
-			line := fmt.Sprintf("%-22s | %6.2f%% | %8.3f%% | %s",
-				e.Kernel, rep.Noise.Global*100, rep.Model.SMAPE, rep.Model.Model)
-			if rep.Resilience.Fallback != core.FallbackNone {
-				line += fmt.Sprintf("  [degraded: %s fallback, %d adaptation attempt(s)]",
-					rep.Resilience.Fallback, rep.Resilience.AdaptAttempts)
-			} else if rep.Resilience.Outcome() == core.OutcomeRetried {
-				line += fmt.Sprintf("  [recovered: %d adaptation attempts]", rep.Resilience.AdaptAttempts)
-			}
-			fmt.Println(line)
-			return nil
-		})
-	if sink.checkpointed != nil {
-		fmt.Printf("resumed: %d kernel(s) already in %s, %d newly modeled\n",
-			sink.checkpointed.Skipped(), o.outJSONL, total)
-	}
-	if streamErr != nil {
-		return failed, total, streamErr
-	}
-	if total == 0 && (sink.checkpointed == nil || sink.checkpointed.Skipped() == 0) && o.filter != "" {
-		return 0, 0, fmt.Errorf("no kernel matched %q", o.filter)
-	}
-	// A deadline expiry outranks partial failure: the missing kernels were
-	// never tried, so the caller should see exit code 4, not 3.
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return failed, total, ctxErr
-	}
-	return failed, total, nil
-}
-
-// resultLine maps one modeled entry to its JSONL checkpoint record. Every
-// field is a pure function of the entry's measurement set, keeping resumed
-// runs byte-identical to uninterrupted ones.
-func resultLine(e profile.Entry, rep core.Report, err error) cliutil.ResultLine {
-	if err != nil {
-		return cliutil.ResultLine{Kernel: e.Kernel, Metric: e.Metric}
-	}
-	return cliutil.ResultLine{
-		Kernel:   e.Kernel,
-		Metric:   e.Metric,
-		Model:    fmt.Sprint(rep.Model.Model),
-		SMAPE:    rep.Model.SMAPE,
-		Noise:    rep.Noise.Global,
-		Selected: selectedName(rep),
-		Fallback: fallbackLabel(rep),
-	}
-}
-
 func readInput(path, format string, params int, noSanitize bool) (*measurement.Set, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
@@ -662,19 +523,7 @@ func readInput(path, format string, params int, noSanitize bool) (*measurement.S
 		r = f
 	}
 	var rep measurement.SanitizeReport
-	cfg := measurement.ReadConfig{NoSanitize: noSanitize, Report: &rep}
-	var set *measurement.Set
-	var err error
-	switch format {
-	case "json":
-		set, err = measurement.ReadJSONWith(r, cfg)
-	case "text":
-		set, err = measurement.ReadTextWith(r, params, cfg)
-	case "extrap":
-		set, err = measurement.ReadExtraPWith(r, cfg)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want text, json or extrap)", format)
-	}
+	set, err := measurement.ReadFormat(r, format, params, measurement.ReadConfig{NoSanitize: noSanitize, Report: &rep})
 	if err != nil {
 		return nil, err
 	}
@@ -682,20 +531,6 @@ func readInput(path, format string, params int, noSanitize bool) (*measurement.S
 		fmt.Fprintf(os.Stderr, "perfmodeler: sanitized input: %s\n", rep.String())
 	}
 	return set, nil
-}
-
-func selectedName(rep core.Report) string {
-	if rep.SelectedDNN {
-		return "dnn"
-	}
-	return "regression"
-}
-
-func fallbackLabel(rep core.Report) string {
-	if rep.Resilience.Fallback == core.FallbackNone {
-		return ""
-	}
-	return rep.Resilience.Fallback.String()
 }
 
 func fatal(err error) {

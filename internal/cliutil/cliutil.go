@@ -180,3 +180,22 @@ func ParseLevels(s string) ([]float64, error) {
 	}
 	return out, nil
 }
+
+// ParsePoint parses a comma-separated parameter-value vector such as
+// "4096, 1e6" (the -predict and -at flags) and checks it has one value per
+// model parameter.
+func ParsePoint(s string, m int) ([]float64, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != m {
+		return nil, fmt.Errorf("%d values given, model has %d parameters", len(parts), m)
+	}
+	out := make([]float64, m)
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, fmt.Errorf("invalid value %q: %w", p, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}

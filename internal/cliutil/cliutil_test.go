@@ -122,3 +122,23 @@ func TestLoadOrPretrainCtxCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+func TestParsePoint(t *testing.T) {
+	got, err := ParsePoint(" 4096 ,1e6\t", 2)
+	if err != nil || len(got) != 2 || got[0] != 4096 || got[1] != 1e6 {
+		t.Fatalf("ParsePoint with whitespace = %v, %v", got, err)
+	}
+	for _, bad := range []struct {
+		in string
+		m  int
+	}{
+		{"1,2", 3},   // too few values
+		{"1,2,3", 2}, // too many values
+		{"1,x", 2},   // not a float
+		{"1,", 2},    // empty value
+	} {
+		if _, err := ParsePoint(bad.in, bad.m); err == nil {
+			t.Errorf("ParsePoint(%q, %d) should fail", bad.in, bad.m)
+		}
+	}
+}

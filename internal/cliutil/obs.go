@@ -80,11 +80,7 @@ func (f *ObsFlags) Setup(tool string, verbose bool) (shutdown func(), err error)
 		mux.Handle("/metrics.json", obs.JSONHandler())
 		note := ""
 		if f.Pprof {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+			MountPprof(mux)
 			note = ", pprof: /debug/pprof/"
 		}
 		ln, err := net.Listen("tcp", f.MetricsAddr)
@@ -106,6 +102,16 @@ func (f *ObsFlags) Setup(tool string, verbose bool) (shutdown func(), err error)
 			}
 		})
 	}, nil
+}
+
+// MountPprof registers the net/http/pprof handlers under /debug/pprof/ on
+// mux (the -pprof flag of the CLI tools and modelerd).
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // PrintCacheStats reports how many Model calls reused a cached adaptation

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"extrapdnn/internal/core"
+	"extrapdnn/internal/profile"
 )
 
 // Incremental campaign results. A streaming campaign writes one JSONL line
@@ -72,6 +75,43 @@ type ResultLine struct {
 	// the daemon's access-log line. Kernel result lines never carry it —
 	// trailers never reach results files, so resume byte-identity holds.
 	RequestID string `json:"request_id,omitempty"`
+}
+
+// NewResultLine maps one modeled profile entry to its result line: the one
+// mapping behind perfmodeler -out-jsonl and the daemon's /v1/profile stream,
+// so local and remote results files are byte-identical line by line. A
+// failed entry carries only its name and err's text.
+func NewResultLine(e profile.Entry, rep core.Report, err error) ResultLine {
+	if err != nil {
+		return ResultLine{Kernel: e.Kernel, Metric: e.Metric, Error: err.Error()}
+	}
+	line := ResultLine{
+		Kernel:   e.Kernel,
+		Metric:   e.Metric,
+		Model:    fmt.Sprint(rep.Model.Model),
+		SMAPE:    rep.Model.SMAPE,
+		Noise:    rep.Noise.Global,
+		Selected: "regression",
+	}
+	if rep.SelectedDNN {
+		line.Selected = "dnn"
+	}
+	if rep.Resilience.Fallback != core.FallbackNone {
+		line.Fallback = rep.Resilience.Fallback.String()
+	}
+	return line
+}
+
+// ResilienceNote is the suffix a campaign table row gets when its model came
+// from a degraded path or a retried adaptation; empty for a clean run.
+func ResilienceNote(r core.Resilience) string {
+	if r.Fallback != core.FallbackNone {
+		return fmt.Sprintf("  [degraded: %s fallback, %d adaptation attempt(s)]", r.Fallback, r.AdaptAttempts)
+	}
+	if r.Outcome() == core.OutcomeRetried {
+		return fmt.Sprintf("  [recovered: %d adaptation attempts]", r.AdaptAttempts)
+	}
+	return ""
 }
 
 // ResultWriter appends ResultLines to a JSONL results/checkpoint stream.

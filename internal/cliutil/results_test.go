@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"extrapdnn/internal/core"
 )
 
 func TestResultWriterCheckpointRoundTrip(t *testing.T) {
@@ -103,6 +105,24 @@ func TestCampaignExitCode(t *testing.T) {
 	for _, tc := range cases {
 		if got := CampaignExitCode(tc.err, tc.failed, tc.total); got != tc.want {
 			t.Errorf("%s: CampaignExitCode = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestResilienceNote(t *testing.T) {
+	cases := []struct {
+		r    core.Resilience
+		want string
+	}{
+		{core.Resilience{AdaptAttempts: 1}, ""},
+		{core.Resilience{AdaptSkipped: true}, ""},
+		{core.Resilience{AdaptAttempts: 3}, "  [recovered: 3 adaptation attempts]"},
+		{core.Resilience{AdaptAttempts: 3, Fallback: core.FallbackPretrained},
+			"  [degraded: pretrained fallback, 3 adaptation attempt(s)]"},
+	}
+	for _, c := range cases {
+		if got := ResilienceNote(c.r); got != c.want {
+			t.Errorf("ResilienceNote(%+v) = %q, want %q", c.r, got, c.want)
 		}
 	}
 }

@@ -31,6 +31,21 @@ func ReadJSONWith(r io.Reader, cfg ReadConfig) (*Set, error) {
 	return finishRead(&s, cfg)
 }
 
+// ReadFormat reads a set in the named input format ("text", "json" or
+// "extrap", the -format flag of the CLI tools); numParams applies to the
+// text format only (see ReadText).
+func ReadFormat(r io.Reader, format string, numParams int, cfg ReadConfig) (*Set, error) {
+	switch format {
+	case "text":
+		return ReadTextWith(r, numParams, cfg)
+	case "json":
+		return ReadJSONWith(r, cfg)
+	case "extrap":
+		return ReadExtraPWith(r, cfg)
+	}
+	return nil, fmt.Errorf("unknown format %q (want text, json or extrap)", format)
+}
+
 // ReadText parses the whitespace-separated text format:
 //
 //	# comment lines and blank lines are ignored

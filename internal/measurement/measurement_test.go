@@ -247,3 +247,41 @@ func TestReadTextErrors(t *testing.T) {
 		t.Fatal("negative parameter should fail validation")
 	}
 }
+
+// TestReadFormat checks the -format dispatcher: each named format reaches its
+// reader with the caller's parameter count and sanitization control, and an
+// unknown name is an error.
+func TestReadFormat(t *testing.T) {
+	var jsonSet bytes.Buffer
+	if err := sampleSet().WriteJSON(&jsonSet); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		format, input      string
+		params, wantParams int
+		wantPoints         int
+	}{
+		{"text", "4 1.5 1.6\n8 2.5\n8 2.6\n", 1, 1, 2},
+		{"json", jsonSet.String(), 0, 2, 4},
+		{"extrap", extrapTwoParam, 0, 2, 5},
+	}
+	for _, c := range cases {
+		s, err := ReadFormat(strings.NewReader(c.input), c.format, c.params, ReadConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.format, err)
+		}
+		if s.NumParams() != c.wantParams || len(s.Data) != c.wantPoints {
+			t.Errorf("%s: %d params / %d points, want %d / %d",
+				c.format, s.NumParams(), len(s.Data), c.wantParams, c.wantPoints)
+		}
+	}
+	// The text case's duplicate point is merged by default and rejected with
+	// sanitization off, so the config reaches the reader.
+	if _, err := ReadFormat(strings.NewReader(cases[0].input), "text", 1, ReadConfig{NoSanitize: true}); err == nil {
+		t.Error("text with NoSanitize: duplicate point accepted")
+	}
+	if _, err := ReadFormat(strings.NewReader(cases[0].input), "csv", 1, ReadConfig{}); err == nil ||
+		!strings.Contains(err.Error(), `unknown format "csv"`) {
+		t.Errorf("unknown format: err = %v", err)
+	}
+}

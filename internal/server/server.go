@@ -452,10 +452,11 @@ var errEmitPanic = errors.New("server: panic in result emission")
 
 // handleProfile serves POST /v1/profile: a profile stream (JSONL or the
 // legacy array format) in, one NDJSON result line per kernel out, in input
-// order. Decoding, modeling and emission are pipelined through
-// parallel.Stream, so the response starts flowing while later entries are
-// still decoding, at O(MaxInFlight) memory per request. All entries share
-// the process-wide adaptation cache, exactly like a local campaign run.
+// order. Decoding, modeling and emission are pipelined through the shared
+// campaign loop (core.(*Modeler).ModelStream), so the response starts
+// flowing while later entries are still decoding, at O(MaxInFlight) memory
+// per request. All entries share the process-wide adaptation cache, exactly
+// like a local campaign run.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	done, ok := s.admit(w, r)
 	if !ok {
@@ -483,26 +484,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	entries := 0
-	runCtx, runSpan := obs.StartSpan(ctx, "profile.run")
-	if runSpan != nil {
-		defer func() {
-			runSpan.SetInt("entries", int64(entries))
-			runSpan.End()
-		}()
-	}
-	streamErr := parallel.Stream(ctx,
+	streamErr := modeler.ModelStream(ctx, sc,
 		parallel.StreamConfig{Workers: s.workers, MaxInFlight: s.MaxInFlightBound(), Ordered: true},
-		sc.NextEntry,
-		func(_ context.Context, _ int, e profile.Entry) (core.Report, error) {
-			entryCtx, entrySpan := obs.StartSpan(runCtx, "profile.entry")
-			if entrySpan != nil {
-				entrySpan.SetString(obs.KernelAttr, e.Kernel)
-				entrySpan.SetString("metric", e.Metric)
-				defer entrySpan.End()
-			}
-			return modeler.ModelCtx(entryCtx, e.Set)
-		},
 		func(_ int, e profile.Entry, rep core.Report, entryErr error) (emitErr error) {
 			// A panic below this line (an encoding bug, an injected fault)
 			// must not tear the stream or leak pipeline goroutines: it is
@@ -517,14 +500,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			if faultinject.Enabled {
 				faultinject.Fire(faultinject.SiteServerEmit, e.Kernel)
 			}
-			line := resultLine(e, rep, entryErr)
-			if err := enc.Encode(line); err != nil {
+			if err := enc.Encode(cliutil.NewResultLine(e, rep, entryErr)); err != nil {
 				return err // client write failed: halt the pipeline
 			}
 			if flusher != nil {
 				flusher.Flush() // each line is delivered as it completes
 			}
-			entries++
 			s.kernels.Add(1)
 			ri.countKernel()
 			obsKernels.Inc()
@@ -603,32 +584,6 @@ func trailerLine(ri *reqInfo, streamErr error) cliutil.ResultLine {
 	line := cliutil.ResultLine{Error: streamErr.Error()}
 	if ri != nil {
 		line.RequestID = ri.id
-	}
-	return line
-}
-
-// resultLine maps one modeled entry onto the shared JSONL result format —
-// the same pure function of the entry's measurement set that perfmodeler
-// -out-jsonl writes locally, so remote and local campaign results are
-// byte-identical line by line.
-func resultLine(e profile.Entry, rep core.Report, err error) cliutil.ResultLine {
-	if err != nil {
-		return cliutil.ResultLine{Kernel: e.Kernel, Metric: e.Metric, Error: err.Error()}
-	}
-	line := cliutil.ResultLine{
-		Kernel: e.Kernel,
-		Metric: e.Metric,
-		Model:  fmt.Sprint(rep.Model.Model),
-		SMAPE:  rep.Model.SMAPE,
-		Noise:  rep.Noise.Global,
-	}
-	if rep.SelectedDNN {
-		line.Selected = "dnn"
-	} else {
-		line.Selected = "regression"
-	}
-	if rep.Resilience.Fallback != core.FallbackNone {
-		line.Fallback = rep.Resilience.Fallback.String()
 	}
 	return line
 }

@@ -83,10 +83,16 @@ func TestStatuszInFlight(t *testing.T) {
 
 	// A profile request fed through a pipe: the handler admits it, reads the
 	// header line, then blocks on the body — pinned in flight until we finish.
+	// One goroutine writes the body in order: the header, then (once the
+	// table check below is done) the entry. Two unsynchronised writers could
+	// deliver the entry first, and the scanner would read it as the header.
 	pr, pw := io.Pipe()
+	finish := make(chan []byte)
 	go func() {
 		pw.Write([]byte(`{"application":"test","param_names":["p"]}` + "\n"))
 		// Keep the pipe open: the scanner blocks waiting for the next entry.
+		pw.Write(<-finish)
+		pw.Close()
 	}()
 	done := make(chan struct{})
 	go func() {
@@ -126,8 +132,7 @@ func TestStatuszInFlight(t *testing.T) {
 		"kernel": "k", "metric": "time",
 		"measurements": noisySet(2, 0.02, func(x float64) float64 { return x }),
 	})
-	pw.Write(append(entry, '\n'))
-	pw.Close()
+	finish <- append(entry, '\n')
 	<-done
 
 	w := getStatusz(t, s, "/statusz?format=json")
