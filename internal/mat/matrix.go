@@ -82,15 +82,6 @@ func NewFromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense[T]) Rows() int { return m.rows }
 

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -66,21 +65,6 @@ func TestNewFromDataLengthPanics(t *testing.T) {
 		}
 	}()
 	NewFromData(2, 2, []float64{1, 2, 3})
-}
-
-func TestIdentity(t *testing.T) {
-	id := Identity(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if id.At(i, j) != want {
-				t.Errorf("Identity(3)[%d,%d] = %v, want %v", i, j, id.At(i, j), want)
-			}
-		}
-	}
 }
 
 func TestTranspose(t *testing.T) {
@@ -197,16 +181,25 @@ func TestMulSmall(t *testing.T) {
 	}
 }
 
+// identity returns the n×n identity matrix.
+func identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := New(5, 5)
 	for i := range a.Data() {
 		a.Data()[i] = rng.NormFloat64()
 	}
-	if !Mul(a, Identity(5)).Equal(a, 1e-12) {
+	if !Mul(a, identity(5)).Equal(a, 1e-12) {
 		t.Fatal("A*I != A")
 	}
-	if !Mul(Identity(5), a).Equal(a, 1e-12) {
+	if !Mul(identity(5), a).Equal(a, 1e-12) {
 		t.Fatal("I*A != A")
 	}
 }
@@ -260,16 +253,8 @@ func TestDotAndNorm(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot wrong")
 	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Fatal("Norm2 wrong")
-	}
-	if Norm2(nil) != 0 {
-		t.Fatal("Norm2(nil) should be 0")
-	}
-	// Norm2 must not overflow on huge components.
-	huge := math.MaxFloat64 / 2
-	if math.IsInf(Norm2([]float64{huge, huge}), 0) {
-		t.Fatal("Norm2 overflowed")
+	if x := []float64{3, 4}; Dot(x, x) != 25 {
+		t.Fatal("Dot(x, x) is not the squared norm")
 	}
 }
 

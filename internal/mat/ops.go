@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 )
@@ -166,28 +165,4 @@ func Dot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	// Scaled accumulation avoids overflow for large components.
-	scale, ssq := 0.0, 1.0
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }

@@ -92,6 +92,96 @@ func TestLeastSquaresShapeMismatch(t *testing.T) {
 	}
 }
 
+// A workspace reused across systems (some singular) must return what a
+// fresh LeastSquares returns for each one, bit for bit: no state of an
+// earlier solve may leak into a later one.
+func TestLeastSquaresWorkspaceReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const m, n = 9, 3
+	w := NewLeastSquaresWorkspace(m, n)
+	for trial := 0; trial < 40; trial++ {
+		a := New(m, n)
+		for i := range a.Data() {
+			a.Data()[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)))
+		}
+		if trial%4 == 3 {
+			for i := 0; i < m; i++ {
+				a.Set(i, 2, 2*a.At(i, 1)) // rank-deficient
+			}
+		}
+		b := make([]float64, m)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want, wantErr := LeastSquares(a, b)
+		got, gotErr := w.Solve(a, b)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: err = %v, LeastSquares err = %v", trial, gotErr, wantErr)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: x = %v, LeastSquares x = %v", trial, got, want)
+			}
+		}
+		if gotErr != nil {
+			continue
+		}
+		eq := w.Equilibrated()
+		for j := 0; j < n; j++ {
+			ss := 0.0
+			for i := 0; i < m; i++ {
+				ss += eq.At(i, j) * eq.At(i, j)
+				if math.Signbit(eq.At(i, j)) != math.Signbit(a.At(i, j)) {
+					t.Fatalf("trial %d: equilibration flipped a sign", trial)
+				}
+			}
+			if math.Abs(ss-1) > 1e-12 {
+				t.Fatalf("trial %d: equilibrated column %d has squared norm %v", trial, j, ss)
+			}
+		}
+	}
+	if _, err := w.Solve(New(m+1, n), make([]float64, m+1)); err == nil {
+		t.Fatal("expected error for a system of another shape")
+	}
+}
+
+// One CholeskyTo factor reused for several right-hand sides must give what
+// SolveCholesky gives for each, bit for bit.
+func TestCholeskyFactorMatchesSolveCholesky(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n = 4
+	l, x, z := New(n, n), make([]float64, n), make([]float64, n)
+	for trial := 0; trial < 10; trial++ {
+		g := New(6, n)
+		for i := range g.Data() {
+			g.Data()[i] = rng.NormFloat64()
+		}
+		a := Gram(g)
+		if err := CholeskyTo(l, a); err != nil {
+			t.Fatal(err)
+		}
+		for rhs := 0; rhs < 3; rhs++ {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			want, err := SolveCholesky(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			CholeskySolveTo(x, z, l, b)
+			for i := range want {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d: x = %v, SolveCholesky x = %v", trial, x, want)
+				}
+			}
+		}
+	}
+	if err := CholeskyTo(New(2, 2), New(2, 2)); err != ErrSingular {
+		t.Fatalf("zero matrix: err = %v, want ErrSingular", err)
+	}
+}
+
 func TestSolveCholeskySPD(t *testing.T) {
 	// A = G^T G + I is SPD.
 	rng := rand.New(rand.NewSource(7))

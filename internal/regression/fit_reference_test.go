@@ -18,7 +18,7 @@ import (
 )
 
 // refFitHypothesis is the pre-workspace implementation: fresh design matrix
-// and LOO buffers per class, package-level looPredictions/equilibrated.
+// and LOO buffers per class, the allocating looPredictions/equilibrated.
 func refFitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candidate, bool) {
 	n := len(xs)
 	if e.IsConstant() {
@@ -48,6 +48,71 @@ func refFitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candidate, bool) {
 	return Candidate{Exps: e, C0: coef[0], C1: coef[1], SMAPE: stats.SMAPE(loo, vs)}, true
 }
 
+// looPredictions is the allocating leave-one-out computation that
+// (*fitWorkspace).looPredictions replaced: exact LOO predictions of a linear
+// least-squares fit via the hat-matrix identity
+//
+//	pred_i = y_i - r_i / (1 - h_ii),  h_ii = a_i^T (A^T A)^{-1} a_i.
+//
+// coef must be the full-data solution.
+func looPredictions(a *mat.Matrix, y, coef []float64) ([]float64, error) {
+	n, p := a.Rows(), a.Cols()
+	// Hat values are invariant under column scaling, so compute them from a
+	// column-equilibrated copy: PMNF designs mix unit intercepts with term
+	// columns of enormous magnitude, which would wreck the Gram solve.
+	fits := mat.MulVec(a, coef)
+	a = equilibrated(a)
+	gram := mat.Gram(a)
+	// Invert the Gram matrix column by column via Cholesky solves.
+	inv := mat.New(p, p)
+	unit := make([]float64, p)
+	for j := 0; j < p; j++ {
+		unit[j] = 1
+		col, err := mat.SolveCholesky(gram, unit)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < p; i++ {
+			inv.Set(i, j, col[i])
+		}
+		unit[j] = 0
+	}
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ai := a.Row(i)
+		fit := fits[i]
+		h := mat.Dot(ai, mat.MulVec(inv, ai))
+		den := 1 - h
+		if den < 1e-10 {
+			// The point fully determines its own fit; fall back to the
+			// in-sample prediction (the hypothesis is too flexible for LOO).
+			out[i] = fit
+			continue
+		}
+		out[i] = y[i] - (y[i]-fit)/den
+	}
+	return out, nil
+}
+
+// equilibrated returns a copy of a with each column scaled to unit norm.
+func equilibrated(a *mat.Matrix) *mat.Matrix {
+	c := a.Clone()
+	n, p := c.Rows(), c.Cols()
+	for j := 0; j < p; j++ {
+		norm := 0.0
+		for i := 0; i < n; i++ {
+			norm = math.Hypot(norm, c.At(i, j))
+		}
+		if norm == 0 {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			c.Set(i, j, c.At(i, j)/norm)
+		}
+	}
+	return c
+}
+
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
@@ -63,7 +128,7 @@ func TestFitLineMatchesReference(t *testing.T) {
 		for i, x := range xs {
 			vs[i] = (1 + 10*rng.Float64()) * (1 + truth.Eval(x)) * synth.NoiseFactor(rng, rng.Float64())
 		}
-		ws := newFitWorkspace(n)
+		ws := newFitWorkspace(n, 2)
 		for _, e := range classes {
 			got, gotOK := ws.fitHypothesis(xs, vs, e)
 			want, wantOK := refFitHypothesis(xs, vs, e)

@@ -15,7 +15,6 @@ package regression
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"extrapdnn/internal/mat"
@@ -90,7 +89,7 @@ func FitLine(xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate,
 	}
 	var cands []Candidate
 	seenConstant := false
-	ws := newFitWorkspace(len(xs))
+	ws := newFitWorkspace(len(xs), 2)
 	for _, e := range classes {
 		if e.IsConstant() {
 			seenConstant = true
@@ -126,36 +125,45 @@ func FitLine(xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate,
 	return cands, nil
 }
 
-// fitWorkspace holds the buffers of the single-parameter hypothesis search.
-// One workspace serves the whole class loop of a FitLine call: the n×2
-// design matrix, its equilibrated copy, the 2×2 Gram matrix and inverse, and
-// the fit/LOO vectors are written in place per class instead of reallocated,
-// and the basis column e.Eval(x) is evaluated once per class and shared by
-// all n leave-one-out folds through the hat-matrix identity. Every
-// accumulation runs in the same order as the allocating helpers it replaces
-// (mat.MulVecTo vs MulVec, mat.GramTo vs Gram), so the candidates are
-// bit-identical — pinned by TestFitLineMatchesReference.
+// fitWorkspace holds the buffers of n×p least-squares fits scored by
+// leave-one-out cross-validation. One workspace serves the whole class loop
+// of a FitLine call (p = 2) and every structure with p coefficients of a
+// Combine call: the design matrix, the QR scratch (which keeps the
+// column-equilibrated design), the Gram matrix, its Cholesky factor and
+// inverse and the fit/LOO vectors are written in place per fit instead of
+// reallocated, and all n leave-one-out folds share one fit through the
+// hat-matrix identity. Every accumulation runs in the same order as the
+// allocating code it replaces (mat.MulVecTo vs MulVec, mat.GramTo vs Gram,
+// the solve's equilibrated copy vs a second equilibration, one Cholesky
+// factor vs one SolveCholesky per column), so the results are bit-identical
+// — pinned by TestFitLineMatchesReference and TestCombineMatchesReference.
 type fitWorkspace struct {
-	a    *mat.Matrix // n×2 design: intercept column + basis column
-	eq   *mat.Matrix // column-equilibrated copy of a
-	gram *mat.Matrix // 2×2 Gram matrix of eq
-	inv  *mat.Matrix // 2×2 inverse of gram
-	fits []float64   // in-sample predictions a·coef
-	loo  []float64   // leave-one-out predictions
-	hv   []float64   // inv·a_i scratch for hat values
-	unit []float64   // unit vector for the column-wise Gram inversion
+	a    *mat.Matrix // n×p design: intercept column + term columns
+	gram *mat.Matrix // p×p Gram matrix of the equilibrated design
+	chol *mat.Matrix // p×p Cholesky factor of gram
+	inv  *mat.Matrix // p×p inverse of gram
+	ls   *mat.LeastSquaresWorkspace
+	fits []float64 // in-sample predictions a·coef
+	loo  []float64 // leave-one-out predictions
+	hv   []float64 // inv·a_i scratch for hat values
+	unit []float64 // unit vector for the column-wise Gram inversion
+	col  []float64 // one column of inv
+	z    []float64 // Cholesky forward-solve scratch
 }
 
-func newFitWorkspace(n int) *fitWorkspace {
+func newFitWorkspace(n, p int) *fitWorkspace {
 	return &fitWorkspace{
-		a:    mat.New(n, 2),
-		eq:   mat.New(n, 2),
-		gram: mat.New(2, 2),
-		inv:  mat.New(2, 2),
+		a:    mat.New(n, p),
+		gram: mat.New(p, p),
+		chol: mat.New(p, p),
+		inv:  mat.New(p, p),
+		ls:   mat.NewLeastSquaresWorkspace(n, p),
 		fits: make([]float64, n),
 		loo:  make([]float64, n),
-		hv:   make([]float64, 2),
-		unit: make([]float64, 2),
+		hv:   make([]float64, p),
+		unit: make([]float64, p),
+		col:  make([]float64, p),
+		z:    make([]float64, p),
 	}
 }
 
@@ -180,7 +188,7 @@ func (ws *fitWorkspace) fitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candi
 		ws.a.Set(i, 0, 1)
 		ws.a.Set(i, 1, e.Eval(x))
 	}
-	coef, err := mat.LeastSquares(ws.a, vs)
+	coef, err := ws.ls.Solve(ws.a, vs)
 	if err != nil {
 		return Candidate{}, false
 	}
@@ -190,29 +198,36 @@ func (ws *fitWorkspace) fitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candi
 	return Candidate{Exps: e, C0: coef[0], C1: coef[1], SMAPE: stats.SMAPE(ws.loo, vs)}, true
 }
 
-// looPredictions computes the exact leave-one-out predictions of the current
-// design (ws.a) into ws.loo, reusing the workspace buffers. It is the
-// allocation-free twin of the package-level looPredictions and matches its
-// arithmetic exactly.
+// looPredictions computes the exact leave-one-out predictions of the
+// design ws.a, just solved by ws.ls, into ws.loo using the hat-matrix
+// identity
+//
+//	pred_i = y_i - r_i / (1 - h_ii),  h_ii = a_i^T (A^T A)^{-1} a_i,
+//
+// which avoids refitting per point. coef must be the full-data solution.
 func (ws *fitWorkspace) looPredictions(y, coef []float64) error {
 	n, p := ws.a.Rows(), ws.a.Cols()
 	mat.MulVecTo(ws.fits, ws.a, coef)
-	equilibratedInto(ws.eq, ws.a)
-	mat.GramTo(ws.gram, ws.eq)
+	// Hat values are invariant under column scaling, so compute them from
+	// the column-equilibrated copy the least-squares solve made: PMNF
+	// designs mix unit intercepts with term columns of enormous magnitude,
+	// which would wreck the Gram solve.
+	eq := ws.ls.Equilibrated()
+	mat.GramTo(ws.gram, eq)
 	// Invert the Gram matrix column by column via Cholesky solves.
+	if err := mat.CholeskyTo(ws.chol, ws.gram); err != nil {
+		return err
+	}
 	for j := 0; j < p; j++ {
 		ws.unit[j] = 1
-		col, err := mat.SolveCholesky(ws.gram, ws.unit)
+		mat.CholeskySolveTo(ws.col, ws.z, ws.chol, ws.unit)
 		ws.unit[j] = 0
-		if err != nil {
-			return err
-		}
 		for i := 0; i < p; i++ {
-			ws.inv.Set(i, j, col[i])
+			ws.inv.Set(i, j, ws.col[i])
 		}
 	}
 	for i := 0; i < n; i++ {
-		ai := ws.eq.Row(i)
+		ai := eq.Row(i)
 		fit := ws.fits[i]
 		mat.MulVecTo(ws.hv, ws.inv, ai)
 		h := mat.Dot(ai, ws.hv)
@@ -226,81 +241,6 @@ func (ws *fitWorkspace) looPredictions(y, coef []float64) error {
 		ws.loo[i] = y[i] - (y[i]-fit)/den
 	}
 	return nil
-}
-
-// looPredictions returns the exact leave-one-out predictions of a linear
-// least-squares fit using the hat-matrix identity
-//
-//	pred_i = y_i - r_i / (1 - h_ii),  h_ii = a_i^T (A^T A)^{-1} a_i,
-//
-// which avoids refitting per point. coef must be the full-data solution.
-func looPredictions(a *mat.Matrix, y, coef []float64) ([]float64, error) {
-	n, p := a.Rows(), a.Cols()
-	// Hat values are invariant under column scaling, so compute them from a
-	// column-equilibrated copy: PMNF designs mix unit intercepts with term
-	// columns of enormous magnitude, which would wreck the Gram solve.
-	fits := mat.MulVec(a, coef)
-	a = equilibrated(a)
-	gram := mat.Gram(a)
-	// Invert the Gram matrix column by column via Cholesky solves.
-	inv := mat.New(p, p)
-	unit := make([]float64, p)
-	for j := 0; j < p; j++ {
-		unit[j] = 1
-		col, err := mat.SolveCholesky(gram, unit)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < p; i++ {
-			inv.Set(i, j, col[i])
-		}
-		unit[j] = 0
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ai := a.Row(i)
-		fit := fits[i]
-		h := mat.Dot(ai, mat.MulVec(inv, ai))
-		den := 1 - h
-		if den < 1e-10 {
-			// The point fully determines its own fit; fall back to the
-			// in-sample prediction (the hypothesis is too flexible for LOO).
-			out[i] = fit
-			continue
-		}
-		out[i] = y[i] - (y[i]-fit)/den
-	}
-	return out, nil
-}
-
-// equilibrated returns a copy of a with each column scaled to unit norm.
-func equilibrated(a *mat.Matrix) *mat.Matrix {
-	c := a.Clone()
-	scaleColumnsToUnitNorm(c)
-	return c
-}
-
-// equilibratedInto copies a into dst (same shape) and scales each column to
-// unit norm, allocation-free.
-func equilibratedInto(dst, a *mat.Matrix) {
-	copy(dst.Data(), a.Data())
-	scaleColumnsToUnitNorm(dst)
-}
-
-func scaleColumnsToUnitNorm(c *mat.Matrix) {
-	n, p := c.Rows(), c.Cols()
-	for j := 0; j < p; j++ {
-		norm := 0.0
-		for i := 0; i < n; i++ {
-			norm = math.Hypot(norm, c.At(i, j))
-		}
-		if norm == 0 {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			c.Set(i, j, c.At(i, j)/norm)
-		}
-	}
 }
 
 // Model builds a performance model for a measurement set with any number of

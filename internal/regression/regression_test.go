@@ -8,6 +8,7 @@ import (
 	"extrapdnn/internal/mat"
 	"extrapdnn/internal/measurement"
 	"extrapdnn/internal/pmnf"
+	"extrapdnn/internal/synth"
 )
 
 // lineSet builds a one-parameter measurement set from f evaluated at xs.
@@ -43,7 +44,7 @@ func TestFitHypothesisExactRecovery(t *testing.T) {
 	for i, x := range xs {
 		vs[i] = 3 + 2*e.Eval(x)
 	}
-	c, ok := newFitWorkspace(len(xs)).fitHypothesis(xs, vs, e)
+	c, ok := newFitWorkspace(len(xs), 2).fitHypothesis(xs, vs, e)
 	if !ok {
 		t.Fatal("fit failed")
 	}
@@ -58,7 +59,7 @@ func TestFitHypothesisExactRecovery(t *testing.T) {
 func TestFitHypothesisConstant(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	vs := []float64{7, 7, 7, 7, 7}
-	c, ok := newFitWorkspace(len(xs)).fitHypothesis(xs, vs, pmnf.Exponents{})
+	c, ok := newFitWorkspace(len(xs), 2).fitHypothesis(xs, vs, pmnf.Exponents{})
 	if !ok || math.Abs(c.C0-7) > 1e-12 || c.SMAPE > 1e-9 {
 		t.Fatalf("constant fit = %+v", c)
 	}
@@ -310,6 +311,29 @@ func TestCombineErrors(t *testing.T) {
 	}
 	if _, err := Combine(set, [][]Candidate{{}}); err == nil {
 		t.Fatal("expected error for empty candidate list")
+	}
+}
+
+// combineAllocCeiling bounds the allocations of one Combine call on the
+// m = 3 fixture below: 127 for set.Medians, one key per distinct structure
+// (136 here), the column cache, one workspace per coefficient count and the
+// improving models come to 429. One allocation per fit would add 136, so a
+// workspace, column cache or key that starts allocating per fit again
+// fails the gate.
+const combineAllocCeiling = 480
+
+func TestCombineAllocations(t *testing.T) {
+	inst := synth.GenInstance(rand.New(rand.NewSource(9)), synth.TaskSpec{
+		NumParams: 3, PointsPerParam: 5, Reps: 5, NoiseLevel: 0.1, EvalPoints: 1,
+	})
+	perParam := lineCandidates(t, inst.Set, DefaultTopK)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Combine(inst.Set, perParam); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > combineAllocCeiling {
+		t.Fatalf("Combine at m = 3 allocates %v times per call, ceiling %d", allocs, combineAllocCeiling)
 	}
 }
 

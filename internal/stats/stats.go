@@ -98,21 +98,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator) of xs, or
-// NaN when fewer than two values are given.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, v := range xs {
-		d := v - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // SMAPE returns the symmetric mean absolute percentage error, in percent,
 // between predictions and actuals:
 //

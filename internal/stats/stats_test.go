@@ -68,15 +68,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if !almostEq(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2.138089935, 1e-6) {
-		t.Fatal("StdDev wrong")
-	}
-	if !math.IsNaN(StdDev([]float64{1})) {
-		t.Fatal("StdDev of singleton should be NaN")
-	}
-}
-
 func TestSMAPEPerfect(t *testing.T) {
 	if SMAPE([]float64{1, 2, 3}, []float64{1, 2, 3}) != 0 {
 		t.Fatal("SMAPE of perfect prediction should be 0")
