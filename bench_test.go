@@ -225,22 +225,6 @@ func BenchmarkAblationOptimizers(b *testing.B) {
 
 // --- Microbenchmarks for the substrates ---
 
-func BenchmarkMatMul256(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	n := 256
-	x, y := mat.New(n, n), mat.New(n, n)
-	for i := range x.Data() {
-		x.Data()[i] = rng.NormFloat64()
-		y.Data()[i] = rng.NormFloat64()
-	}
-	out := mat.New(n, n)
-	b.SetBytes(int64(8 * n * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MulTo(out, x, y)
-	}
-}
-
 func BenchmarkLeastSquares(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	a := mat.New(125, 4)
@@ -270,17 +254,6 @@ func BenchmarkPreprocessEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkRegressionFitLine(b *testing.B) {
-	xs := []float64{4, 8, 16, 32, 64}
-	vs := []float64{11, 21, 39, 81, 162}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := regression.FitLine(xs, vs, pmnf.Classes(), 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRegressionModel3P(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	inst := synth.GenInstance(rng, synth.TaskSpec{
@@ -291,18 +264,6 @@ func BenchmarkRegressionModel3P(b *testing.B) {
 		if _, err := regression.Model(inst.Set, regression.Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkDNNInference(b *testing.B) {
-	pre := benchPretrained()
-	in := make([]float64, preprocess.InputSize)
-	for i := range in {
-		in[i] = float64(i) / 11
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pre.Net.TopK(in, 3)
 	}
 }
 

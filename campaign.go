@@ -2,6 +2,7 @@ package extrapdnn
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -208,7 +209,7 @@ func ProfileError(reports []ProfileReport) error {
 			errs = append(errs, fmt.Errorf("%s/%s: %w", r.Kernel, r.Metric, r.Err))
 		}
 	}
-	return parallel.JoinErrs(errs)
+	return errors.Join(errs...)
 }
 
 // Experiment design: planning which measurement points to run.

@@ -23,27 +23,16 @@ import (
 )
 
 func main() {
+	netOpts, adaptSamples := cliutil.RegisterEvalFlags()
 	var (
-		kind         = flag.String("kind", "all", `"power", "noise", "time", "models" or "all"`)
-		appName      = flag.String("app", "", "restrict to one case study (Kripke, FASTEST, RELeARN)")
-		netPath      = flag.String("net", "", "pretrained network file; pretrains ad hoc when empty")
-		topology     = flag.String("topology", "default", "topology for ad-hoc pretraining")
-		samples      = flag.Int("pretrain-samples", 500, "ad-hoc pretraining samples per class")
-		epochs       = flag.Int("pretrain-epochs", 3, "ad-hoc pretraining epochs")
-		adaptSamples = flag.Int("adapt-samples", 200, "domain-adaptation samples per class")
-		campaigns    = flag.Int("campaigns", 1, "repeat each simulated campaign this many times and pool errors")
-		plot         = flag.Bool("plot", false, "draw the figures as terminal charts in addition to the tables")
-		seed         = flag.Int64("seed", 1, "random seed")
-		f32          = flag.Bool("f32", false, "run DNN training and inference through the float32 SIMD fast path")
-		modelDir     = flag.String("model-dir", "", "pretrained-network registry directory: reuse equal-configuration pretraining results across runs")
+		kind      = flag.String("kind", "all", `"power", "noise", "time", "models" or "all"`)
+		appName   = flag.String("app", "", "restrict to one case study (Kripke, FASTEST, RELeARN)")
+		campaigns = flag.Int("campaigns", 1, "repeat each simulated campaign this many times and pool errors")
+		plot      = flag.Bool("plot", false, "draw the figures as terminal charts in addition to the tables")
 	)
 	flag.Parse()
 
-	netOpts := cliutil.NetOptions{
-		NetPath: *netPath, Topology: *topology, SamplesPerClass: *samples, Epochs: *epochs,
-		Seed: *seed, Float32: *f32, ModelDir: *modelDir,
-	}
-	pretrained, err := cliutil.LoadOrPretrain(context.Background(), netOpts)
+	pretrained, err := cliutil.LoadOrPretrain(context.Background(), *netOpts)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,7 +52,7 @@ func main() {
 		res, err := eval.RunCaseStudy(app, eval.CaseConfig{
 			Pretrained: pretrained,
 			Adapt:      dnnmodel.AdaptConfig{SamplesPerClass: *adaptSamples, Precision: netOpts.Precision()},
-			Seed:       *seed,
+			Seed:       netOpts.Seed,
 			Campaigns:  *campaigns,
 		})
 		if err != nil {

@@ -26,28 +26,20 @@ import (
 )
 
 func main() {
+	netOpts, adaptSamples := cliutil.RegisterEvalFlags()
 	var (
-		m            = flag.Int("m", 1, "number of model parameters (1, 2 or 3)")
-		kind         = flag.String("kind", "all", `what to evaluate: "accuracy", "power", "crossover", "ablation", "noiseest" or "all"`)
-		functions    = flag.Int("functions", 100, "test functions per noise level (paper: 100000)")
-		levelsFlag   = flag.String("levels", "2,5,10,20,50,75,100", "noise levels in percent")
-		netPath      = flag.String("net", "", "pretrained network file; pretrains ad hoc when empty")
-		topology     = flag.String("topology", "default", "topology for ad-hoc pretraining")
-		samples      = flag.Int("pretrain-samples", 500, "ad-hoc pretraining samples per class")
-		epochs       = flag.Int("pretrain-epochs", 3, "ad-hoc pretraining epochs")
-		adaptSamples = flag.Int("adapt-samples", 200, "domain-adaptation samples per class")
-		adaptPerTask = flag.Bool("adapt-per-task", false, "retrain per generated function instead of once per noise level (slow, full fidelity)")
-		threshold    = flag.Float64("threshold", 0.20, "adaptive noise threshold")
-		seed         = flag.Int64("seed", 1, "random seed")
-		f32          = flag.Bool("f32", false, "run DNN training and inference through the float32 SIMD fast path")
-		modelDir     = flag.String("model-dir", "", "pretrained-network registry directory: reuse equal-configuration pretraining results across runs")
-		csvPath      = flag.String("csv", "", "also write the sweep rows as CSV to this file")
-		plot         = flag.Bool("plot", false, "draw the figures as terminal charts in addition to the tables")
+		m          = flag.Int("m", 1, "number of model parameters (1, 2 or 3)")
+		kind       = flag.String("kind", "all", `what to evaluate: "accuracy", "power", "crossover", "ablation", "noiseest" or "all"`)
+		functions  = flag.Int("functions", 100, "test functions per noise level (paper: 100000)")
+		levelsFlag = flag.String("levels", "2,5,10,20,50,75,100", "noise levels in percent")
+		threshold  = flag.Float64("threshold", 0.20, "adaptive noise threshold")
+		csvPath    = flag.String("csv", "", "also write the sweep rows as CSV to this file")
+		plot       = flag.Bool("plot", false, "draw the figures as terminal charts in addition to the tables")
 	)
 	flag.Parse()
 
 	if *kind == "noiseest" || *kind == "all" {
-		errFrac := eval.NoiseEstimatorError(*seed, 100, nil)
+		errFrac := eval.NoiseEstimatorError(netOpts.Seed, 100, nil)
 		fmt.Printf("== Noise estimator (Section IV-B) ==\n")
 		fmt.Printf("mean relative estimation error: %.2f%% (paper: 4.93%%)\n\n", errFrac*100)
 		if *kind == "noiseest" {
@@ -59,11 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	netOpts := cliutil.NetOptions{
-		NetPath: *netPath, Topology: *topology, SamplesPerClass: *samples, Epochs: *epochs,
-		Seed: *seed, Float32: *f32, ModelDir: *modelDir,
-	}
-	pretrained, err := cliutil.LoadOrPretrain(context.Background(), netOpts)
+	pretrained, err := cliutil.LoadOrPretrain(context.Background(), *netOpts)
 	if err != nil {
 		fatal(err)
 	}
@@ -74,10 +62,9 @@ func main() {
 		NumParams:      *m,
 		NoiseLevels:    levels,
 		Functions:      *functions,
-		Seed:           *seed,
+		Seed:           netOpts.Seed,
 		Pretrained:     pretrained,
 		Adapt:          dnnmodel.AdaptConfig{SamplesPerClass: *adaptSamples, Precision: netOpts.Precision()},
-		AdaptPerTask:   *adaptPerTask,
 		NoiseThreshold: *threshold,
 	})
 	if err != nil {
@@ -158,7 +145,7 @@ func main() {
 			NumParams:         *m,
 			NoiseLevels:       levels,
 			Functions:         *functions,
-			Seed:              *seed,
+			Seed:              netOpts.Seed,
 			Pretrained:        pretrained,
 			DisableAdaptation: true,
 			NoiseThreshold:    *threshold,

@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -153,7 +154,7 @@ func scanProfile(ctx context.Context, path string, workers int, bucketWidth floa
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return 0, ctxErr
 	}
-	if joined := parallel.JoinErrs(errs); joined != nil {
+	if joined := errors.Join(errs...); joined != nil {
 		return 0, joined
 	}
 	// Number signature groups in first-appearance order.

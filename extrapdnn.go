@@ -302,5 +302,5 @@ func ReadMeasurementsText(r io.Reader, numParams int) (*MeasurementSet, error) {
 // POINTS / DATA blocks), easing interop with campaigns prepared for the
 // original tool.
 func ReadMeasurementsExtraP(r io.Reader) (*MeasurementSet, error) {
-	return measurement.ReadExtraP(r)
+	return measurement.ReadExtraPWith(r, measurement.ReadConfig{})
 }

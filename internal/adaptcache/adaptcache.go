@@ -189,8 +189,8 @@ type Cache struct {
 
 // New returns a cache bounded to capacity entries. It returns nil for
 // capacity <= 0 — a nil *Cache is the documented "caching disabled" state
-// (GetOrCreate on a nil cache runs create directly, Stats returns zeros), so
-// callers need no branching.
+// (GetOrCreateErr on a nil cache runs create directly, Stats returns zeros),
+// so callers need no branching.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		return nil
@@ -202,24 +202,15 @@ func New(capacity int) *Cache {
 	}
 }
 
-// GetOrCreate returns the cached modeler for key, running create at most
+// GetOrCreateErr returns the cached modeler for key, running create at most
 // once per resident key: concurrent callers of a missing key block until the
 // first caller's create completes and then share its result. create must be
-// a pure function of key (the adaptation-cache contract); if it panics, the
-// pending entry is removed and waiters fall back to their own create call.
-func (c *Cache) GetOrCreate(key string, create func() *dnnmodel.Modeler) *dnnmodel.Modeler {
-	m, _ := c.GetOrCreateErr(key, func() (*dnnmodel.Modeler, error) {
-		return create(), nil
-	})
-	return m
-}
-
-// GetOrCreateErr is GetOrCreate for fallible creation: when create returns an
-// error (or panics, or returns nil), the pending entry is dropped so the
-// failure is never cached — a diverged or cancelled adaptation must not
-// poison the cache for later equal-signature tasks. Waiters that observe a
-// failed in-flight create fall back to their own create call and report its
-// outcome.
+// a pure function of key (the adaptation-cache contract). When create
+// returns an error (or panics, or returns nil), the pending entry is dropped
+// so the failure is never cached — a diverged or cancelled adaptation must
+// not poison the cache for later equal-signature tasks. Waiters that observe
+// a failed in-flight create fall back to their own create call and report
+// its outcome.
 func (c *Cache) GetOrCreateErr(key string, create func() (*dnnmodel.Modeler, error)) (*dnnmodel.Modeler, error) {
 	if c == nil {
 		return create()
@@ -272,29 +263,6 @@ func (c *Cache) GetOrCreateErr(key string, create func() (*dnnmodel.Modeler, err
 	return m, nil
 }
 
-// Get returns the cached modeler for key without creating one. A pending
-// entry (in-flight create) is waited for, like GetOrCreate.
-func (c *Cache) Get(key string) (*dnnmodel.Modeler, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	el, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
-		c.mu.Unlock()
-		obsMisses.Inc()
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	c.ll.MoveToFront(el)
-	c.stats.Hits++
-	c.mu.Unlock()
-	obsHits.Inc()
-	waitReady(e)
-	return e.m, e.m != nil
-}
-
 // waitReady blocks until an entry's create completes, counting the lookups
 // that actually had to wait on an in-flight single-flight adaptation.
 func waitReady(e *entry) {
@@ -304,27 +272,6 @@ func waitReady(e *entry) {
 		obsSingleflightWaits.Inc()
 		<-e.ready
 	}
-}
-
-// Put inserts a ready modeler, replacing any resident entry for key.
-func (c *Cache) Put(key string, m *dnnmodel.Modeler) {
-	if c == nil || m == nil {
-		return
-	}
-	ready := make(chan struct{})
-	close(ready)
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		old := el.Value.(*entry)
-		c.stats.Bytes -= old.bytes
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
-	e := &entry{key: key, m: m, bytes: sizeOf(m), ready: ready}
-	c.items[key] = c.ll.PushFront(e)
-	c.stats.Bytes += e.bytes
-	c.evictOverCapLocked()
-	c.mu.Unlock()
 }
 
 // evictOverCapLocked drops least-recently-used entries until the capacity

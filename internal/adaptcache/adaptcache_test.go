@@ -11,6 +11,25 @@ import (
 
 func modeler() *dnnmodel.Modeler { return &dnnmodel.Modeler{} }
 
+// getOrCreate calls GetOrCreateErr with an infallible create.
+func getOrCreate(c *Cache, key string, create func() *dnnmodel.Modeler) *dnnmodel.Modeler {
+	m, _ := c.GetOrCreateErr(key, func() (*dnnmodel.Modeler, error) { return create(), nil })
+	return m
+}
+
+// resident reports whether key holds a ready modeler, without touching the
+// LRU order or the hit/miss counters.
+func resident(c *Cache, key string) (*dnnmodel.Modeler, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	m := el.Value.(*entry).m
+	return m, m != nil
+}
+
 func TestSignatureKeyDistinguishesFields(t *testing.T) {
 	base := Signature{
 		ParamNames:      []string{"p"},
@@ -96,18 +115,14 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	}
 	calls := 0
 	m := modeler()
-	got := c.GetOrCreate("k", func() *dnnmodel.Modeler { calls++; return m })
+	got := getOrCreate(c, "k", func() *dnnmodel.Modeler { calls++; return m })
 	if got != m || calls != 1 {
-		t.Fatalf("nil cache GetOrCreate: got %v after %d calls", got, calls)
+		t.Fatalf("nil cache GetOrCreateErr: got %v after %d calls", got, calls)
 	}
-	c.GetOrCreate("k", func() *dnnmodel.Modeler { calls++; return m })
+	getOrCreate(c, "k", func() *dnnmodel.Modeler { calls++; return m })
 	if calls != 2 {
 		t.Fatal("nil cache must run create on every call")
 	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("nil cache Get must miss")
-	}
-	c.Put("k", m)
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache must stay empty with zero stats")
 	}
@@ -118,10 +133,10 @@ func TestGetOrCreateHitSkipsCreate(t *testing.T) {
 	m := modeler()
 	calls := 0
 	create := func() *dnnmodel.Modeler { calls++; return m }
-	if got := c.GetOrCreate("a", create); got != m {
+	if got := getOrCreate(c, "a", create); got != m {
 		t.Fatal("miss must return created modeler")
 	}
-	if got := c.GetOrCreate("a", create); got != m {
+	if got := getOrCreate(c, "a", create); got != m {
 		t.Fatal("hit must return cached modeler")
 	}
 	if calls != 1 {
@@ -138,22 +153,22 @@ func TestLRUEvictionOrder(t *testing.T) {
 	ms := map[string]*dnnmodel.Modeler{}
 	add := func(k string) {
 		ms[k] = modeler()
-		c.GetOrCreate(k, func() *dnnmodel.Modeler { return ms[k] })
+		getOrCreate(c, k, func() *dnnmodel.Modeler { return ms[k] })
 	}
 	add("a")
 	add("b")
 	// Touch "a" so "b" becomes least recently used.
-	if got := c.GetOrCreate("a", func() *dnnmodel.Modeler { t.Fatal("unexpected create"); return nil }); got != ms["a"] {
+	if got := getOrCreate(c, "a", func() *dnnmodel.Modeler { t.Fatal("unexpected create"); return nil }); got != ms["a"] {
 		t.Fatal("expected hit on a")
 	}
 	add("c") // must evict "b"
-	if _, ok := c.Get("b"); ok {
+	if _, ok := resident(c, "b"); ok {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
-	if got, ok := c.Get("a"); !ok || got != ms["a"] {
+	if got, ok := resident(c, "a"); !ok || got != ms["a"] {
 		t.Fatal("a should have survived eviction")
 	}
-	if got, ok := c.Get("c"); !ok || got != ms["c"] {
+	if got, ok := resident(c, "c"); !ok || got != ms["c"] {
 		t.Fatal("c should be resident")
 	}
 	s := c.Stats()
@@ -162,8 +177,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 	// Filling past capacity repeatedly evicts in insertion order of the
 	// untouched entries.
-	add("d") // evicts a (c and a resident, a is LRU after the Get order a,c)
-	if _, ok := c.Get("a"); ok {
+	add("d") // evicts a: c was inserted after a was last touched
+	if _, ok := resident(c, "a"); ok {
 		t.Fatal("a should have been evicted after c was touched more recently")
 	}
 }
@@ -180,7 +195,7 @@ func TestSingleFlightConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.GetOrCreate("k", func() *dnnmodel.Modeler {
+			results[i] = getOrCreate(c, "k", func() *dnnmodel.Modeler {
 				mu.Lock()
 				calls++
 				mu.Unlock()
@@ -207,28 +222,14 @@ func TestGetOrCreatePanicRecovery(t *testing.T) {
 	c := New(4)
 	func() {
 		defer func() { recover() }()
-		c.GetOrCreate("k", func() *dnnmodel.Modeler { panic("boom") })
+		getOrCreate(c, "k", func() *dnnmodel.Modeler { panic("boom") })
 	}()
 	if c.Len() != 0 {
 		t.Fatal("panicked create must not leave a pending entry")
 	}
 	m := modeler()
-	if got := c.GetOrCreate("k", func() *dnnmodel.Modeler { return m }); got != m {
+	if got := getOrCreate(c, "k", func() *dnnmodel.Modeler { return m }); got != m {
 		t.Fatal("key must be creatable after a panicked create")
-	}
-}
-
-func TestPutReplacesAndStatsBytes(t *testing.T) {
-	c := New(2)
-	a, b := modeler(), modeler()
-	c.Put("k", a)
-	c.Put("k", b)
-	if got, ok := c.Get("k"); !ok || got != b {
-		t.Fatal("Put must replace the resident entry")
-	}
-	if s := c.Stats(); s.Entries != 1 || s.Bytes != 0 {
-		// Test modelers carry no network, so accounted bytes are zero.
-		t.Fatalf("stats = %+v", s)
 	}
 }
 
@@ -236,7 +237,7 @@ func TestEvictionUnderChurn(t *testing.T) {
 	c := New(3)
 	for i := 0; i < 50; i++ {
 		k := fmt.Sprintf("k%d", i%7)
-		c.GetOrCreate(k, modeler)
+		getOrCreate(c, k, modeler)
 	}
 	if c.Len() > 3 {
 		t.Fatalf("cache grew past capacity: %d", c.Len())
@@ -265,11 +266,11 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				switch i % 3 {
 				case 0: // hot key shared by everyone
-					c.GetOrCreate("hot", modeler)
+					getOrCreate(c, "hot", modeler)
 				case 1: // warm per-goroutine key
-					c.GetOrCreate(fmt.Sprintf("warm-%d", g), modeler)
+					getOrCreate(c, fmt.Sprintf("warm-%d", g), modeler)
 				default: // cold churn forcing evictions
-					c.GetOrCreate(fmt.Sprintf("cold-%d-%d", g, i), modeler)
+					getOrCreate(c, fmt.Sprintf("cold-%d-%d", g, i), modeler)
 				}
 			}
 		}(g)
@@ -296,7 +297,7 @@ func TestPerShardEviction(t *testing.T) {
 	c := New(2)
 	keys := []string{"key-0", "key-1", "key-2", "key-3", "key-4"}
 	for _, k := range keys {
-		c.GetOrCreate(k, modeler)
+		getOrCreate(c, k, modeler)
 	}
 	if got := c.Stats().Evictions; got != 3 {
 		t.Fatalf("evicted %d entries, want 3 (5 inserts into a budget of 2)", got)
@@ -304,13 +305,13 @@ func TestPerShardEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want the budget 2", c.Len())
 	}
-	if _, ok := c.Get(keys[4]); !ok {
+	if _, ok := resident(c, keys[4]); !ok {
 		t.Fatal("most recent key evicted")
 	}
-	if _, ok := c.Get(keys[3]); !ok {
+	if _, ok := resident(c, keys[3]); !ok {
 		t.Fatal("second most recent key evicted")
 	}
-	if _, ok := c.Get(keys[0]); ok {
+	if _, ok := resident(c, keys[0]); ok {
 		t.Fatal("oldest key survived past the budget")
 	}
 }
@@ -322,10 +323,10 @@ func TestStatsAggregateAcrossShards(t *testing.T) {
 	c := New(64)
 	const keys = 40
 	for i := 0; i < keys; i++ {
-		c.GetOrCreate(fmt.Sprintf("key-%d", i), modeler) // miss
+		getOrCreate(c, fmt.Sprintf("key-%d", i), modeler) // miss
 	}
 	for i := 0; i < keys; i++ {
-		c.GetOrCreate(fmt.Sprintf("key-%d", i), modeler) // hit
+		getOrCreate(c, fmt.Sprintf("key-%d", i), modeler) // hit
 	}
 	agg := c.Stats()
 	if agg.Hits != keys || agg.Misses != keys || agg.Entries != keys {
@@ -358,7 +359,7 @@ func TestShardingPreservesSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(k string) {
 			defer wg.Done()
-			got := c.GetOrCreate(k, func() *dnnmodel.Modeler {
+			got := getOrCreate(c, k, func() *dnnmodel.Modeler {
 				mu.Lock()
 				calls[k]++
 				mu.Unlock()

@@ -46,18 +46,6 @@ type App struct {
 	Kernels                     []Kernel
 }
 
-// PerformanceRelevantKernels returns the kernels above the 1% runtime-share
-// filter.
-func (a *App) PerformanceRelevantKernels() []Kernel {
-	var out []Kernel
-	for _, k := range a.Kernels {
-		if k.PerformanceRelevant() {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // noiseLevel draws one per-point noise level from the app's profile.
 func (a *App) noiseLevel(rng *rand.Rand) float64 {
 	skew := a.NoiseSkew
@@ -108,32 +96,6 @@ func (a *App) Campaign(rng *rand.Rand, k Kernel) (set *measurement.Set, evalRef 
 	evalRef, _ = evalMeas.Median()
 	return set, evalRef
 }
-
-// MeasureEval simulates the evaluation measurement at the extrapolation
-// point P+ and returns the median of the noisy repetitions — the reference
-// the paper compares predictions against.
-func (a *App) MeasureEval(rng *rand.Rand, k Kernel) float64 {
-	base := k.Truth.Eval(a.EvalPoint)
-	level := a.noiseLevel(rng)
-	vals := make([]float64, a.Reps)
-	for r := range vals {
-		vals[r] = base * (1 + level*(rng.Float64()-0.5))
-	}
-	// Median of the repetitions.
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j-1] > vals[j]; j-- {
-			vals[j-1], vals[j] = vals[j], vals[j-1]
-		}
-	}
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[mid]
-	}
-	return (vals[mid-1] + vals[mid]) / 2
-}
-
-// EvalTruth returns the noiseless truth of kernel k at the evaluation point.
-func (a *App) EvalTruth(k Kernel) float64 { return k.Truth.Eval(a.EvalPoint) }
 
 // grid builds the cartesian product of parameter values as points.
 func grid(values ...[]float64) []measurement.Point {

@@ -48,9 +48,8 @@ func TestKripkeLayout(t *testing.T) {
 	if k.Reps != 5 {
 		t.Fatal("Kripke uses 5 repetitions")
 	}
-	if len(k.PerformanceRelevantKernels()) != 6 {
-		t.Fatalf("Kripke should have 6 performance-relevant kernels, got %d",
-			len(k.PerformanceRelevantKernels()))
+	if got := relevantKernels(k); got != 6 {
+		t.Fatalf("Kripke should have 6 performance-relevant kernels, got %d", got)
 	}
 }
 
@@ -59,7 +58,7 @@ func TestFASTESTLayout(t *testing.T) {
 	if len(f.ModelPoints) != 9 {
 		t.Fatalf("FASTEST has %d modeling points, want 9 (two crossing 5-point lines)", len(f.ModelPoints))
 	}
-	if got := len(f.PerformanceRelevantKernels()); got != 20 {
+	if got := relevantKernels(f); got != 20 {
 		t.Fatalf("FASTEST should have 20 performance-relevant kernels, got %d", got)
 	}
 	if !f.EvalPoint.Equal([]float64{2048, 8192}) {
@@ -146,12 +145,14 @@ func TestEstimatedNoiseOrdering(t *testing.T) {
 	}
 }
 
+// TestMeasureEvalNearTruth checks the evaluation measurement at P+ that
+// Campaign returns with each kernel's set.
 func TestMeasureEvalNearTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := RELeARN()
 	k := r.Kernels[0]
-	truth := r.EvalTruth(k)
-	got := r.MeasureEval(rng, k)
+	truth := k.Truth.Eval(r.EvalPoint)
+	_, got := r.Campaign(rng, k)
 	if math.Abs(got-truth)/truth > 0.01 {
 		t.Fatalf("RELeARN eval measurement %v too far from truth %v (noise ~0.65%%)", got, truth)
 	}
@@ -161,7 +162,7 @@ func TestMeasureEvalMedianEvenReps(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	r := RELeARN() // 2 reps → even-length median path
 	for i := 0; i < 10; i++ {
-		v := r.MeasureEval(rng, r.Kernels[1])
+		_, v := r.Campaign(rng, r.Kernels[1])
 		if v <= 0 {
 			t.Fatal("nonpositive eval measurement")
 		}
@@ -199,4 +200,15 @@ func TestCrossLinesDedup(t *testing.T) {
 	if len(pts) != 4 {
 		t.Fatalf("crossLines produced %d points, want 4", len(pts))
 	}
+}
+
+// relevantKernels counts the kernels above the 1% runtime-share filter.
+func relevantKernels(a *App) int {
+	n := 0
+	for _, k := range a.Kernels {
+		if k.PerformanceRelevant() {
+			n++
+		}
+	}
+	return n
 }

@@ -29,7 +29,7 @@ func TestCampaignEvalRefNearTruthWhenCalm(t *testing.T) {
 	r := RELeARN()
 	for _, k := range r.Kernels {
 		_, evalRef := r.Campaign(rng, k)
-		truth := r.EvalTruth(k)
+		truth := k.Truth.Eval(r.EvalPoint)
 		if math.Abs(evalRef-truth)/truth > 0.01 {
 			t.Fatalf("%s: calm eval reference %v too far from truth %v", k.Name, evalRef, truth)
 		}
@@ -77,7 +77,13 @@ func TestProfileGeneration(t *testing.T) {
 	if p.Application != "Kripke" || p.Entries[0].Metric != "runtime" {
 		t.Fatalf("profile metadata: %+v", p)
 	}
-	if got := len(p.PerformanceRelevant()); got != 6 {
+	relevant := 0
+	for _, e := range p.Entries {
+		if e.RuntimeShare > 0.01 {
+			relevant++
+		}
+	}
+	if got := relevant; got != 6 {
 		t.Fatalf("performance-relevant entries = %d, want 6", got)
 	}
 }

@@ -56,6 +56,21 @@ func RegisterModelerFlags() *ModelerFlags {
 	return f
 }
 
+// RegisterEvalFlags registers the network and adaptation flags that the
+// evaluation tools (evalsynth, evalcases) share, with their defaults. The
+// options and the -adapt-samples value are filled in by flag.Parse.
+func RegisterEvalFlags() (*NetOptions, *int) {
+	o := &NetOptions{}
+	flag.StringVar(&o.NetPath, "net", "", "pretrained network file; pretrains ad hoc when empty")
+	flag.StringVar(&o.Topology, "topology", "default", "topology for ad-hoc pretraining")
+	flag.IntVar(&o.SamplesPerClass, "pretrain-samples", 500, "ad-hoc pretraining samples per class")
+	flag.IntVar(&o.Epochs, "pretrain-epochs", 3, "ad-hoc pretraining epochs")
+	flag.Int64Var(&o.Seed, "seed", 1, "random seed")
+	flag.BoolVar(&o.Float32, "f32", false, "run DNN training and inference through the float32 SIMD fast path")
+	flag.StringVar(&o.ModelDir, "model-dir", "", "pretrained-network registry directory: reuse equal-configuration pretraining results across runs")
+	return o, flag.Int("adapt-samples", 200, "domain-adaptation samples per class")
+}
+
 // NetOptions maps the flags onto the network loading/pretraining options.
 func (f *ModelerFlags) NetOptions(verbose bool) NetOptions {
 	return NetOptions{

@@ -4,34 +4,6 @@ import (
 	"math"
 )
 
-// CrossoverResult reports where the DNN modeler's accuracy overtakes the
-// regression modeler's along the noise axis — the analysis the paper uses to
-// set the adaptive modeler's switching threshold (Section IV-A).
-type CrossoverResult struct {
-	// Rows are the underlying sweep rows.
-	Rows []SynthRow
-	// Level is the interpolated noise level (fraction) at which the DNN-only
-	// accuracy curve (bucket d <= 1/2) first crosses above the regression
-	// curve; NaN when the curves never cross inside the swept range.
-	Level float64
-	// Bucket is the accuracy bucket used (index into BucketThresholds).
-	Bucket int
-}
-
-// FindCrossover sweeps the noise levels of cfg and locates the intersection
-// of the regression and DNN accuracy curves by linear interpolation between
-// adjacent levels. The result's Level feeds core.Config.NoiseThreshold.
-func FindCrossover(cfg SynthConfig, bucket int) (CrossoverResult, error) {
-	if bucket < 0 || bucket >= len(BucketThresholds) {
-		bucket = len(BucketThresholds) - 1
-	}
-	rows, err := RunSynth(cfg)
-	if err != nil {
-		return CrossoverResult{}, err
-	}
-	return CrossoverResult{Rows: rows, Level: CrossoverFromRows(rows, bucket), Bucket: bucket}, nil
-}
-
 // CrossoverFromRows interpolates the noise level where the DNN accuracy
 // curve crosses above the regression curve in the given bucket, from
 // already-computed sweep rows. It returns NaN when the curves never cross

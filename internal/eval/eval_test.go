@@ -173,30 +173,29 @@ func TestSynthConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestFindCrossover locates the crossover of a small sweep. (The name is kept
+// from FindCrossover, a RunSynth + CrossoverFromRows wrapper that is gone.)
 func TestFindCrossover(t *testing.T) {
-	res, err := FindCrossover(SynthConfig{
+	rows, err := RunSynth(SynthConfig{
 		NumParams:   1,
 		NoiseLevels: []float64{0.02, 0.5, 1.0},
 		Functions:   16,
 		Seed:        9,
 		Pretrained:  testPretrained(),
 		Adapt:       quickAdapt,
-	}, 2)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if res.Bucket != 2 {
-		t.Fatalf("bucket = %d", res.Bucket)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	// Level is either NaN (no crossing) or inside the swept range.
-	if !math.IsNaN(res.Level) && (res.Level < 0.02 || res.Level > 1.0) {
-		t.Fatalf("crossover level %v outside swept range", res.Level)
+	if level := CrossoverFromRows(rows, 2); !math.IsNaN(level) && (level < 0.02 || level > 1.0) {
+		t.Fatalf("crossover level %v outside swept range", level)
 	}
 	// DNN-only accuracies must be tracked.
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		for _, a := range r.DNNAcc {
 			if a < 0 || a > 1 {
 				t.Fatalf("DNN accuracy %v out of range", a)
@@ -206,18 +205,19 @@ func TestFindCrossover(t *testing.T) {
 }
 
 func TestFindCrossoverBadBucketClamps(t *testing.T) {
-	res, err := FindCrossover(SynthConfig{
-		NumParams:   1,
-		NoiseLevels: []float64{0.5},
-		Functions:   4,
-		Seed:        10,
-		Pretrained:  testPretrained(),
-		Adapt:       quickAdapt,
-	}, 99)
-	if err != nil {
-		t.Fatal(err)
+	// DNN behind at 25%, ahead at 75% in bucket 2 only: an out-of-range
+	// bucket must give bucket 2's crossing.
+	rows := []SynthRow{
+		{Noise: 0.25, RegAcc: [3]float64{0.75, 0.75, 0.75}, DNNAcc: [3]float64{0.75, 0.75, 0.25}},
+		{Noise: 0.75, RegAcc: [3]float64{0.75, 0.75, 0.25}, DNNAcc: [3]float64{0.75, 0.75, 0.75}},
 	}
-	if res.Bucket != 2 {
-		t.Fatalf("bucket should clamp to 2, got %d", res.Bucket)
+	want := CrossoverFromRows(rows, 2)
+	if want != 0.5 {
+		t.Fatalf("bucket 2 crossover = %v, want 0.5", want)
+	}
+	for _, bucket := range []int{-1, 99} {
+		if got := CrossoverFromRows(rows, bucket); got != want {
+			t.Fatalf("bucket %d crossover = %v, want it clamped to bucket 2's %v", bucket, got, want)
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"math/rand"
 	"runtime"
 
+	"extrapdnn/internal/core"
 	"extrapdnn/internal/dnnmodel"
-	"extrapdnn/internal/noise"
 	"extrapdnn/internal/parallel"
 	"extrapdnn/internal/pmnf"
 	"extrapdnn/internal/regression"
@@ -37,11 +37,6 @@ type SynthConfig struct {
 	Seed           int64
 	Pretrained     *dnnmodel.Modeler
 	Adapt          dnnmodel.AdaptConfig
-	// AdaptPerTask retrains per generated function exactly as the real
-	// pipeline does. Off by default: the sweep adapts once per noise level,
-	// which batches identical work (same noise range, same rep count) and
-	// keeps the 7-level sweep tractable; see DESIGN.md §4.
-	AdaptPerTask bool
 	// DisableAdaptation uses the pretrained network without per-level
 	// retraining — the domain-adaptation ablation of DESIGN.md §5.
 	DisableAdaptation bool
@@ -127,15 +122,24 @@ func RunSynth(cfg SynthConfig) ([]SynthRow, error) {
 func runSynthLevel(cfg SynthConfig, level float64, seed int64) (SynthRow, error) {
 	// Domain adaptation once per level: the synthetic tasks of a level share
 	// the repetition count and noise range, which is what adaptation keys on.
-	task := dnnmodel.TaskInfo{
-		Reps:     cfg.Reps,
-		NoiseMin: math.Max(0, level-0.1),
-		NoiseMax: math.Min(1, level+0.1),
-	}
-	adaptRng := rand.New(rand.NewSource(seed))
 	shared := cfg.Pretrained
-	if !cfg.AdaptPerTask && !cfg.DisableAdaptation {
-		shared = cfg.Pretrained.DomainAdapt(adaptRng, task, cfg.Adapt)
+	if !cfg.DisableAdaptation {
+		task := dnnmodel.TaskInfo{
+			Reps:     cfg.Reps,
+			NoiseMin: math.Max(0, level-0.1),
+			NoiseMax: math.Min(1, level+0.1),
+		}
+		shared = cfg.Pretrained.DomainAdapt(rand.New(rand.NewSource(seed)), task, cfg.Adapt)
+	}
+	// The adaptive modeler selects exactly as core does, on the level's
+	// network instead of a per-task adaptation.
+	modeler, err := core.New(shared, core.Config{
+		DisableAdaptation: true,
+		DisableFallback:   true,
+		NoiseThreshold:    cfg.NoiseThreshold,
+	})
+	if err != nil {
+		return SynthRow{}, err
 	}
 
 	spec := synth.TaskSpec{
@@ -149,32 +153,31 @@ func runSynthLevel(cfg SynthConfig, level float64, seed int64) (SynthRow, error)
 	outcomes := make([]funcOutcome, cfg.Functions)
 	parallel.ForEach(cfg.Functions, cfg.Workers, func(f int) {
 		rng := rand.New(rand.NewSource(seed + int64(f)*104729 + 1))
-		modeler := shared
-		if cfg.AdaptPerTask {
-			modeler = cfg.Pretrained.DomainAdapt(rng, task, cfg.Adapt)
-		}
-		outcomes[f] = evalOneFunction(rng, spec, modeler, cfg.NoiseThreshold)
+		outcomes[f] = evalOneFunction(rng, spec, modeler)
 	})
 	return aggregate(level, cfg, outcomes), nil
 }
 
-// evalOneFunction generates one synthetic task and scores both modelers.
-func evalOneFunction(rng *rand.Rand, spec synth.TaskSpec, modeler *dnnmodel.Modeler, threshold float64) funcOutcome {
+// evalOneFunction generates one synthetic task and scores the regression
+// modeler, the DNN modeler and the adaptive selection between them.
+func evalOneFunction(rng *rand.Rand, spec synth.TaskSpec, modeler *core.Modeler) funcOutcome {
 	inst := synth.GenInstance(rng, spec)
 
-	regRes, regErr := regression.Model(inst.Set, regression.Options{})
-	dnnRes, dnnErr := modeler.Model(inst.Set)
-	if regErr != nil || dnnErr != nil {
+	rep, err := modeler.Model(inst.Set)
+	if err != nil {
 		return funcOutcome{}
 	}
-
-	// The adaptive modeler: below the threshold pick the better of the two
-	// by cross-validated SMAPE, above it trust the DNN alone.
-	estimated := noise.EstimateLevel(inst.Set)
-	adaptive := dnnRes
-	if estimated <= threshold && regRes.SMAPE < dnnRes.SMAPE {
-		adaptive = regRes
+	// Above the noise threshold core does not run the regression modeler,
+	// but the baseline column still needs its model.
+	regRes := rep.Regression
+	if regRes == nil {
+		res, err := regression.Model(inst.Set, regression.Options{})
+		if err != nil {
+			return funcOutcome{}
+		}
+		regRes = &res
 	}
+	dnnRes, adaptive := rep.DNN, rep.Model
 
 	out := funcOutcome{ok: true}
 	regDist := pmnf.LeadDistance(regRes.Model, inst.Truth)

@@ -9,14 +9,6 @@ import "fmt"
 // 1500-wide matrix is ~750 KiB of float64 traffic, comfortably inside L2.
 const fusedBlock = 64
 
-// MulAT returns aᵀ·b without materializing the transpose.
-// It panics unless a and b have the same number of rows.
-func MulAT[T Float](a, b *Dense[T]) *Dense[T] {
-	out := NewDense[T](a.cols, b.cols)
-	MulATTo(out, a, b)
-	return out
-}
-
 // MulATTo computes out = aᵀ·b into a preallocated matrix without
 // materializing aᵀ: the kernel reads a and b row-major and scatters each row's
 // outer-product contribution into the output. It is the backpropagation
@@ -97,14 +89,6 @@ func mulATRange[T Float](out, a, b *Dense[T], lo, hi int) {
 			}
 		}
 	}
-}
-
-// MulBT returns a·bᵀ without materializing the transpose.
-// It panics unless a and b have the same number of columns.
-func MulBT[T Float](a, b *Dense[T]) *Dense[T] {
-	out := NewDense[T](a.rows, b.rows)
-	MulBTTo(out, a, b)
-	return out
 }
 
 // MulBTTo computes out = a·bᵀ into a preallocated matrix without

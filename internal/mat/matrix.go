@@ -144,33 +144,12 @@ func (m *Dense[T]) Scale(s T) {
 	}
 }
 
-// Add adds b to m element-wise, in place. The shapes must match.
-func (m *Dense[T]) Add(b *Dense[T]) {
-	m.sameShape(b)
-	for i, v := range b.data {
-		m.data[i] += v
-	}
-}
-
-// Sub subtracts b from m element-wise, in place. The shapes must match.
-func (m *Dense[T]) Sub(b *Dense[T]) {
-	m.sameShape(b)
-	for i, v := range b.data {
-		m.data[i] -= v
-	}
-}
-
 // AddScaled adds s*b to m element-wise, in place. The shapes must match.
 func (m *Dense[T]) AddScaled(s T, b *Dense[T]) {
 	m.sameShape(b)
 	for i, v := range b.data {
 		m.data[i] += s * v
 	}
-}
-
-// Zero sets every element of m to zero.
-func (m *Dense[T]) Zero() {
-	clear(m.data)
 }
 
 func (m *Dense[T]) sameShape(b *Dense[T]) {
@@ -191,17 +170,6 @@ func (m *Dense[T]) Equal(b *Dense[T], tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for an empty matrix.
-func (m *Dense[T]) MaxAbs() T {
-	var max T
-	for _, v := range m.data {
-		if a := T(math.Abs(float64(v))); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// ReadExtraP parses the Extra-P-style text format, easing interop with
+// ReadExtraPWith parses the Extra-P-style text format, easing interop with
 // campaigns prepared for the original tool:
 //
 //	PARAMETER p
@@ -27,12 +27,8 @@ import (
 // "POINTS 8 16 32"); each DATA line holds the repetitions of one point, in
 // POINTS order. REGION and METRIC are optional labels; only the first
 // region's data is read (use internal/profile for multi-kernel campaigns).
-// The parsed set is sanitized (see Set.Sanitize) and validated.
-func ReadExtraP(r io.Reader) (*Set, error) {
-	return ReadExtraPWith(r, ReadConfig{})
-}
-
-// ReadExtraPWith is ReadExtraP with explicit sanitization control.
+// The parsed set is sanitized (see Set.Sanitize) unless cfg turns that off,
+// and validated.
 func ReadExtraPWith(r io.Reader, cfg ReadConfig) (*Set, error) {
 	scanner := bufio.NewScanner(r)
 	set := &Set{}

@@ -21,7 +21,7 @@ DATA 19.6 19.4 19.8
 `
 
 func TestReadExtraPTwoParams(t *testing.T) {
-	set, err := ReadExtraP(strings.NewReader(extrapTwoParam))
+	set, err := ReadExtraPWith(strings.NewReader(extrapTwoParam), ReadConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ DATA 4
 DATA 8
 DATA 16
 `
-	set, err := ReadExtraP(strings.NewReader(input))
+	set, err := ReadExtraPWith(strings.NewReader(input), ReadConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestReadExtraPSecondRegionIgnored(t *testing.T) {
 REGION other
 DATA 9 9 9
 `
-	set, err := ReadExtraP(strings.NewReader(input))
+	set, err := ReadExtraPWith(strings.NewReader(input), ReadConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestReadExtraPErrors(t *testing.T) {
 		"parameter unnamed":       "PARAMETER\n",
 	}
 	for name, input := range cases {
-		if _, err := ReadExtraP(strings.NewReader(input)); err == nil {
+		if _, err := ReadExtraPWith(strings.NewReader(input), ReadConfig{}); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}

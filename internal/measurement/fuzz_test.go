@@ -66,7 +66,7 @@ func FuzzReadExtraP(f *testing.F) {
 	f.Add([]byte("PARAMETER p\nPOINTS 4 8 8\nDATA 1.0 NaN\nDATA 2.0\nDATA 2.1\n"))
 	f.Add([]byte("DATA 1.0\n"))
 	f.Fuzz(func(t *testing.T, input []byte) {
-		s, err := ReadExtraP(bytes.NewReader(input))
+		s, err := ReadExtraPWith(bytes.NewReader(input), ReadConfig{})
 		if err != nil {
 			return
 		}

@@ -73,14 +73,6 @@ func (m Measurement) Median() (float64, error) {
 	return stats.Median(m.Values), nil
 }
 
-// Mean returns the arithmetic mean of the repetitions.
-func (m Measurement) Mean() (float64, error) {
-	if len(m.Values) == 0 {
-		return 0, fmt.Errorf("measurement at %v has no values", m.Point)
-	}
-	return stats.Mean(m.Values), nil
-}
-
 // Set is a complete measurement set for one modeling task: one entry per
 // measurement point, each with its repetitions.
 type Set struct {
@@ -176,51 +168,4 @@ func (s *Set) Repetitions() int {
 		}
 	}
 	return r
-}
-
-// Lookup returns the measurement at point p, if present.
-func (s *Set) Lookup(p Point) (Measurement, bool) {
-	for _, d := range s.Data {
-		if d.Point.Equal(p) {
-			return d, true
-		}
-	}
-	return Measurement{}, false
-}
-
-// Line extracts the single-parameter measurement line for parameter l where
-// every other parameter is fixed to the values in fixed (fixed[l] itself is
-// ignored). The result is sorted by the value of parameter l. This is the
-// shape both modelers use to identify per-parameter behavior.
-func (s *Set) Line(l int, fixed Point) *Set {
-	m := s.NumParams()
-	var out []Measurement
-	for _, d := range s.Data {
-		match := true
-		for k := 0; k < m; k++ {
-			if k == l {
-				continue
-			}
-			if d.Point[k] != fixed[k] {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Point[l] < out[b].Point[l] })
-	return &Set{ParamNames: s.ParamNames, Metric: s.Metric, Data: out}
-}
-
-// Filter returns the subset of measurements accepted by keep.
-func (s *Set) Filter(keep func(Measurement) bool) *Set {
-	var out []Measurement
-	for _, d := range s.Data {
-		if keep(d) {
-			out = append(out, d)
-		}
-	}
-	return &Set{ParamNames: s.ParamNames, Metric: s.Metric, Data: out}
 }

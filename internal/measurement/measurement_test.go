@@ -52,17 +52,6 @@ func TestMeasurementMedian(t *testing.T) {
 	}
 }
 
-func TestMeasurementMean(t *testing.T) {
-	m := Measurement{Point: Point{1}, Values: []float64{1, 2, 3}}
-	v, err := m.Mean()
-	if err != nil || v != 2 {
-		t.Fatalf("Mean = %v, %v", v, err)
-	}
-	if _, err := (Measurement{Point: Point{1}}).Mean(); err == nil {
-		t.Fatal("empty measurement should error")
-	}
-}
-
 func TestValidateOK(t *testing.T) {
 	if err := sampleSet().Validate(); err != nil {
 		t.Fatal(err)
@@ -123,43 +112,6 @@ func TestParamValues(t *testing.T) {
 func TestRepetitions(t *testing.T) {
 	if sampleSet().Repetitions() != 3 {
 		t.Fatal("Repetitions should report the max")
-	}
-}
-
-func TestLookup(t *testing.T) {
-	s := sampleSet()
-	m, ok := s.Lookup(Point{16, 10})
-	if !ok || m.Values[0] != 2.0 {
-		t.Fatal("Lookup failed")
-	}
-	if _, ok := s.Lookup(Point{999, 10}); ok {
-		t.Fatal("Lookup false positive")
-	}
-}
-
-func TestLine(t *testing.T) {
-	s := sampleSet()
-	line := s.Line(0, Point{0, 10})
-	if len(line.Data) != 3 {
-		t.Fatalf("line has %d points, want 3", len(line.Data))
-	}
-	for i := 1; i < len(line.Data); i++ {
-		if line.Data[i-1].Point[0] >= line.Data[i].Point[0] {
-			t.Fatal("line not sorted by parameter value")
-		}
-	}
-	// Line over parameter 1 with p fixed to 8.
-	line2 := s.Line(1, Point{8, 0})
-	if len(line2.Data) != 2 {
-		t.Fatalf("line2 has %d points, want 2", len(line2.Data))
-	}
-}
-
-func TestFilter(t *testing.T) {
-	s := sampleSet()
-	f := s.Filter(func(m Measurement) bool { return m.Point[1] == 10 })
-	if len(f.Data) != 3 {
-		t.Fatalf("filter kept %d, want 3", len(f.Data))
 	}
 }
 

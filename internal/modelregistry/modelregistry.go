@@ -103,9 +103,6 @@ func Open(dir string) (*Registry, error) {
 	return &Registry{dir: dir}, nil
 }
 
-// Dir returns the registry root.
-func (r *Registry) Dir() string { return r.dir }
-
 func (r *Registry) path(k Key) string {
 	return filepath.Join(r.dir, k.Digest()+".net")
 }

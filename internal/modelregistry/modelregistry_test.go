@@ -169,7 +169,7 @@ func TestConcurrentLoadStore(t *testing.T) {
 	}
 	wg.Wait()
 	// No temporary files may survive.
-	entries, err := os.ReadDir(r.Dir())
+	entries, err := os.ReadDir(r.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -85,47 +84,6 @@ func TestValidationLossTracked(t *testing.T) {
 	// Learnable data: validation loss should improve.
 	if stats.ValLoss[9] >= stats.ValLoss[0] {
 		t.Fatalf("validation loss did not improve: %v", stats.ValLoss)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	// Identity passthrough classifier over 3 classes.
-	net := &Network{Layers: []*Layer{{
-		W:   mat.NewFromRows([][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}),
-		B:   make([]float64, 3),
-		Act: Softmax,
-	}}}
-	x := mat.NewFromRows([][]float64{
-		{5, 0, 0}, {5, 0, 0}, // class 0, predicted 0
-		{0, 5, 0}, // class 1, predicted 1
-		{0, 0, 5}, // class 2 mislabeled as 1
-	})
-	cm := net.Confusion(x, []int{0, 0, 1, 1})
-	if cm.Counts[0][0] != 2 || cm.Counts[1][1] != 1 || cm.Counts[1][2] != 1 {
-		t.Fatalf("confusion = %+v", cm.Counts)
-	}
-	if math.Abs(cm.Accuracy()-0.75) > 1e-12 {
-		t.Fatalf("accuracy = %v", cm.Accuracy())
-	}
-	if cm.Recall(0) != 1 || math.Abs(cm.Recall(1)-0.5) > 1e-12 {
-		t.Fatalf("recall = %v/%v", cm.Recall(0), cm.Recall(1))
-	}
-	if cm.Precision(2) != 0 {
-		t.Fatalf("precision of never-correct class = %v", cm.Precision(2))
-	}
-	if f1 := cm.MacroF1(); f1 <= 0 || f1 > 1 {
-		t.Fatalf("macro F1 = %v", f1)
-	}
-	if cm.String() == "" {
-		t.Fatal("String empty")
-	}
-}
-
-func TestConfusionEmpty(t *testing.T) {
-	net := NewNetwork([]int{2, 3}, rand.New(rand.NewSource(8)))
-	cm := net.Confusion(mat.New(0, 2), nil)
-	if cm.Accuracy() != 0 || cm.MacroF1() != 0 {
-		t.Fatal("empty confusion should be zero")
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 // trading ~1e-3 relative rounding for about half the memory traffic
 // (DESIGN.md §11).
 type InferSession struct {
-	net  *Network
-	prec Precision
-	// Exactly one forwarder is set, matching prec.
+	net *Network
+	// Exactly one forwarder is set, matching the session's precision.
 	f64 *forwarder[float64]
 	f32 *forwarder[float32]
 
@@ -43,7 +42,7 @@ func (n *Network) NewInferSession(maxRows int, prec Precision) *InferSession {
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	s := &InferSession{net: n, prec: prec}
+	s := &InferSession{net: n}
 	if prec == Float32 {
 		layers, _ := workingLayers[float32](n)
 		s.f32 = newForwarder(layers, maxRows)
@@ -52,17 +51,6 @@ func (n *Network) NewInferSession(maxRows int, prec Precision) *InferSession {
 	}
 	return s
 }
-
-// MaxRows returns the current allocation-free batch capacity.
-func (s *InferSession) MaxRows() int {
-	if s.f32 != nil {
-		return s.f32.maxRows
-	}
-	return s.f64.maxRows
-}
-
-// Precision returns the arithmetic width the session runs at.
-func (s *InferSession) Precision() Precision { return s.prec }
 
 // check validates a batch before it reaches the forwarders.
 func (s *InferSession) check(x *mat.Matrix, caller string) {

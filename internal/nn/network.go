@@ -264,18 +264,6 @@ func (n *Network) Predict(x []float64) []float64 {
 	return res
 }
 
-// PredictClass returns the most probable class for one input.
-func (n *Network) PredictClass(x []float64) int {
-	probs := n.Predict(x)
-	best := 0
-	for i, p := range probs {
-		if p > probs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // TopK returns the k most probable classes for one input, most probable
 // first. k is clamped to the output width.
 func (n *Network) TopK(x []float64, k int) []int {

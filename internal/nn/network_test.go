@@ -128,9 +128,6 @@ func TestPredictClassAndTopK(t *testing.T) {
 		Act: Softmax,
 	}}}
 	x := []float64{0.1, 0.9, 0.5}
-	if got := net.PredictClass(x); got != 1 {
-		t.Fatalf("PredictClass = %d", got)
-	}
 	top := net.TopK(x, 2)
 	if top[0] != 1 || top[1] != 2 {
 		t.Fatalf("TopK = %v", top)

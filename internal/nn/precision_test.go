@@ -220,11 +220,14 @@ func TestInferSessionGrowAndVaryingRows(t *testing.T) {
 				}
 			}
 		}
-		if s.MaxRows() != 9 {
-			t.Fatalf("session did not grow: MaxRows %d", s.MaxRows())
+		var maxRows int
+		if prec == Float32 {
+			maxRows = s.f32.maxRows
+		} else {
+			maxRows = s.f64.maxRows
 		}
-		if s.Precision() != prec {
-			t.Fatalf("Precision() = %v, want %v", s.Precision(), prec)
+		if maxRows != 9 {
+			t.Fatalf("session did not grow: maxRows %d", maxRows)
 		}
 	}
 }

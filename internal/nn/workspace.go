@@ -215,8 +215,8 @@ func (f *forwarder[T]) viewsFor(rows int) *rowViews[T] {
 // agree. The result aliases the forwarder's buffers and is valid until the
 // next call. Unlike ForwardBatch it keeps two ping-pong buffers instead of
 // every layer's activations, so it is the right path whenever
-// backpropagation is not needed (validation loss, Accuracy, Confusion,
-// Predict, InferSession).
+// backpropagation is not needed (validation loss, Accuracy, Predict,
+// InferSession).
 func (f *forwarder[T]) run(x *mat.Dense[T], rawLogits bool) *mat.Dense[T] {
 	if x.Cols() != f.layers[0].In() {
 		panic("nn: input width mismatch")

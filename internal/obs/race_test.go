@@ -1,7 +1,7 @@
 package obs_test
 
 // Contention tests for the obs package, exercised through the same
-// parallel.MapErr worker pools the modeling pipeline uses (an external test
+// parallel.MapErrCtx worker pools the modeling pipeline uses (an external test
 // package, so the obs → parallel dependency direction stays one-way). Run
 // with -race: scripts/check.sh includes this package in its race pass.
 
@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -26,7 +27,7 @@ func TestMetricContentionFromWorkerPool(t *testing.T) {
 	r := obs.NewRing("test_race_ring", "", 64)
 
 	const n = 4000
-	_, errs := parallel.MapErr(n, 16, func(i int) (struct{}, error) {
+	_, errs := parallel.MapErrCtx(context.Background(), n, 16, func(i int) (struct{}, error) {
 		c.Inc()
 		g.Add(1)
 		h.Observe(float64(i % 32))
@@ -34,7 +35,7 @@ func TestMetricContentionFromWorkerPool(t *testing.T) {
 		return struct{}{}, nil
 	})
 	if errs != nil {
-		t.Fatalf("worker errors: %v", parallel.JoinErrs(errs))
+		t.Fatalf("worker errors: %v", errors.Join(errs...))
 	}
 	if got := c.Value(); got != n {
 		t.Fatalf("counter = %d, want %d (lost updates under contention)", got, n)
@@ -74,7 +75,7 @@ func TestSpanContentionFromWorkerPool(t *testing.T) {
 		return struct{}{}, nil
 	})
 	if errs != nil {
-		t.Fatalf("worker errors: %v", parallel.JoinErrs(errs))
+		t.Fatalf("worker errors: %v", errors.Join(errs...))
 	}
 	root.End()
 	obs.SetTracer(prev)

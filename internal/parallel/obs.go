@@ -7,7 +7,7 @@ import (
 )
 
 // Worker-pool telemetry. Clock reads only happen when metrics are on
-// (runItem/dispatch check obs.MetricsEnabled first), so the disabled path
+// (runItem/dispatchCtx check obs.MetricsEnabled first), so the disabled path
 // stays a plain function call per item.
 var (
 	obsItems = obs.NewCounter("extrapdnn_parallel_items_total",
@@ -39,19 +39,8 @@ func runItem(i int, fn func(i int)) {
 	obsItems.Inc()
 }
 
-// dispatch sends i to the worker channel, accounting the blocking time as
-// dispatcher wait when metrics are enabled.
-func dispatch(next chan<- int, i int) {
-	if !obs.MetricsEnabled() {
-		next <- i
-		return
-	}
-	start := time.Now()
-	next <- i
-	obsDispatchWaitNS.Add(uint64(time.Since(start).Nanoseconds()))
-}
-
-// dispatchCtx is dispatch with cancellation; it reports whether i was handed
+// dispatchCtx sends i to the worker channel, accounting the blocking time as
+// dispatcher wait when metrics are enabled; it reports whether i was handed
 // to a worker (false: done fired first).
 func dispatchCtx(next chan<- int, done <-chan struct{}, i int) bool {
 	if !obs.MetricsEnabled() {

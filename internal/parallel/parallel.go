@@ -10,7 +10,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -18,11 +17,11 @@ import (
 	"sync"
 )
 
-// PanicError is a worker panic converted into a per-item error by
-// MapErr/MapSeeded (and their Ctx variants): one crashing item must degrade
-// into one failed result, never abort the whole run. Value is the recovered
-// panic value and Stack the worker's stack at recovery time, so the crash
-// stays debuggable after isolation.
+// PanicError is a worker panic converted into a per-item error by MapErrCtx
+// and MapSeeded: one crashing item must degrade into one failed result,
+// never abort the whole run. Value is the recovered panic value and Stack
+// the worker's stack at recovery time, so the crash stays debuggable after
+// isolation.
 type PanicError struct {
 	Index int    // the item whose fn panicked
 	Value any    // the recovered panic value
@@ -39,32 +38,7 @@ func (e *PanicError) Error() string {
 // complete. fn must handle its own synchronization for shared state; writing
 // to disjoint slice elements indexed by i is safe.
 func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			runItem(i, fn)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				runItem(i, fn)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		dispatch(next, i)
-	}
-	close(next)
-	wg.Wait()
+	ForEachCtx(context.Background(), n, workers, fn)
 }
 
 // ForEachCtx is ForEach with cancellation: once ctx is done, no further
@@ -131,31 +105,16 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	return out
 }
 
-// Run is ForEach with the default worker count (GOMAXPROCS): it runs fn(i)
-// for every i in [0, n) with bounded concurrency and returns after all calls
-// complete. It is the entry point for callers that have no reason to tune
-// the worker count, such as the data generators.
-func Run(n int, fn func(i int)) {
-	ForEach(n, 0, fn)
-}
-
-// MapErr runs fn(i) for every i in [0, n) with bounded concurrency and
+// MapErrCtx runs fn(i) for every i in [0, n) with bounded concurrency and
 // collects the results and errors in index order. Each item's error is
 // captured independently — one failing item never hides the results of the
 // others — which is the contract the profile-scale modeling pipeline needs:
 // one unmodelable kernel must not fail the campaign. A panicking fn is
 // recovered into a *PanicError for its item (same isolation contract: one
-// crashing kernel must not abort the profile run). errs is nil when every
-// item succeeded.
-func MapErr[T any](n, workers int, fn func(i int) (T, error)) (out []T, errs []error) {
-	return MapErrCtx(context.Background(), n, workers, fn)
-}
-
-// MapErrCtx is MapErr with cancellation: once ctx is done, undispatched
-// items are skipped and carry ctx.Err() as their per-item error (so callers
-// can tell "never ran" from "ran and failed"); in-flight items finish
-// normally. As with MapErr, errs is nil only when every item ran and
-// succeeded.
+// crashing kernel must not abort the profile run). Once ctx is done,
+// undispatched items are skipped and carry ctx.Err() as their per-item error
+// (so callers can tell "never ran" from "ran and failed"); in-flight items
+// finish normally. errs is nil only when every item ran and succeeded.
 func MapErrCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) (out []T, errs []error) {
 	out = make([]T, n)
 	var failed bool
@@ -201,20 +160,12 @@ func isolate[T any](i int, fn func(i int) (T, error)) (v T, err error) {
 // MapSeeded is the deterministic seeded runner: it draws one sub-seed per
 // item from rng sequentially (in index order, before any worker starts),
 // then runs fn(i, itemRng) with bounded concurrency and collects results and
-// errors in index order like MapErr. Because every item generates from its
-// own rand.Rand and the parent rng is consumed only for the sub-seeds, the
-// results are a pure function of the rng state — bit-identical regardless of
-// the worker count or goroutine scheduling. This is the same determinism
-// contract the dataset builder applies per exponent class.
+// errors in index order like MapErrCtx. Because every item generates from
+// its own rand.Rand and the parent rng is consumed only for the sub-seeds,
+// the results are a pure function of the rng state — bit-identical
+// regardless of the worker count or goroutine scheduling. This is the same
+// determinism contract the dataset builder applies per exponent class.
 func MapSeeded[T any](n, workers int, rng *rand.Rand, fn func(i int, rng *rand.Rand) (T, error)) ([]T, []error) {
-	return MapSeededCtx(context.Background(), n, workers, rng, fn)
-}
-
-// MapSeededCtx is MapSeeded with cancellation, via MapErrCtx. The sub-seeds
-// are still drawn for every item before dispatch, so a cancelled run
-// consumes exactly as much of the parent rng as a completed one — resuming
-// with the same rng stays deterministic.
-func MapSeededCtx[T any](ctx context.Context, n, workers int, rng *rand.Rand, fn func(i int, rng *rand.Rand) (T, error)) ([]T, []error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -222,15 +173,7 @@ func MapSeededCtx[T any](ctx context.Context, n, workers int, rng *rand.Rand, fn
 	for i := range seeds {
 		seeds[i] = rng.Int63()
 	}
-	return MapErrCtx(ctx, n, workers, func(i int) (T, error) {
+	return MapErrCtx(context.Background(), n, workers, func(i int) (T, error) {
 		return fn(i, rand.New(rand.NewSource(seeds[i])))
 	})
-}
-
-// JoinErrs flattens a MapErr per-item error slice into one structured
-// multi-error (errors.Join semantics: errors.Is/As see every cause), or nil
-// when errs is nil or holds no failures. It keeps CLI exit paths uniform:
-// partial failures print once, with every cause.
-func JoinErrs(errs []error) error {
-	return errors.Join(errs...)
 }

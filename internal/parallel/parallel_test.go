@@ -53,7 +53,8 @@ func TestForEachSingleWorkerOrdered(t *testing.T) {
 
 func TestRunCoversAllIndices(t *testing.T) {
 	seen := make([]int32, 37)
-	Run(len(seen), func(i int) {
+	// The default worker count (workers <= 0 means GOMAXPROCS).
+	ForEach(len(seen), 0, func(i int) {
 		atomic.AddInt32(&seen[i], 1)
 	})
 	for i, c := range seen {
@@ -62,7 +63,7 @@ func TestRunCoversAllIndices(t *testing.T) {
 		}
 	}
 	called := false
-	Run(0, func(int) { called = true })
+	ForEach(0, 0, func(int) { called = true })
 	if called {
 		t.Fatal("fn called for empty range")
 	}
@@ -86,7 +87,7 @@ func TestMapEmpty(t *testing.T) {
 func TestMapErrOrderedAndIndependent(t *testing.T) {
 	wantErr := errors.New("item failed")
 	for _, workers := range []int{1, 4} {
-		out, errs := MapErr(10, workers, func(i int) (int, error) {
+		out, errs := MapErrCtx(context.Background(), 10, workers, func(i int) (int, error) {
 			if i == 3 || i == 7 {
 				return 0, wantErr
 			}
@@ -111,7 +112,7 @@ func TestMapErrOrderedAndIndependent(t *testing.T) {
 }
 
 func TestMapErrNilErrsOnSuccess(t *testing.T) {
-	out, errs := MapErr(5, 2, func(i int) (int, error) { return i, nil })
+	out, errs := MapErrCtx(context.Background(), 5, 2, func(i int) (int, error) { return i, nil })
 	if errs != nil {
 		t.Fatalf("errs = %v for all-success run", errs)
 	}
@@ -164,7 +165,7 @@ func TestMapSeededEmpty(t *testing.T) {
 // delivers its result.
 func TestMapErrPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		out, errs := MapErr(8, workers, func(i int) (int, error) {
+		out, errs := MapErrCtx(context.Background(), 8, workers, func(i int) (int, error) {
 			if i == 2 {
 				panic("kernel exploded")
 			}
@@ -249,33 +250,52 @@ func TestMapErrCtxMarksUnstartedItems(t *testing.T) {
 	}
 }
 
-// TestMapSeededCtxConsumesAllSeeds pins the resume-determinism contract: a
-// cancelled seeded run still consumes one sub-seed per item from the parent
-// rng, exactly like a completed run.
+// TestMapSeededCtxConsumesAllSeeds pins the determinism contract: a seeded
+// run consumes exactly one sub-seed per item from the parent rng, however
+// many of its items fail or panic.
 func TestMapSeededCtxConsumesAllSeeds(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	rngA := rand.New(rand.NewSource(7))
-	MapSeededCtx(ctx, 9, 3, rngA, func(i int, rng *rand.Rand) (int, error) { return i, nil })
+	MapSeeded(9, 3, rngA, func(i int, rng *rand.Rand) (int, error) {
+		switch i % 3 {
+		case 1:
+			return 0, errors.New("fails")
+		case 2:
+			panic("crashes")
+		}
+		return i, nil
+	})
 	rngB := rand.New(rand.NewSource(7))
 	for i := 0; i < 9; i++ {
 		rngB.Int63()
 	}
 	if a, b := rngA.Int63(), rngB.Int63(); a != b {
-		t.Fatalf("cancelled run consumed a different amount of parent rng: %d vs %d", a, b)
+		t.Fatalf("run with failures consumed a different amount of parent rng: %d vs %d", a, b)
 	}
 }
 
+// TestJoinErrs pins the per-item error slice that callers flatten with
+// errors.Join: nil when every item succeeded, and every cause visible (with
+// the successes' nil entries dropped) when some failed.
 func TestJoinErrs(t *testing.T) {
-	if JoinErrs(nil) != nil {
-		t.Fatal("JoinErrs(nil) must be nil")
+	_, errs := MapErrCtx(context.Background(), 4, 2, func(i int) (int, error) { return i, nil })
+	if errors.Join(errs...) != nil {
+		t.Fatal("an all-success run must join to nil")
 	}
-	if JoinErrs([]error{nil, nil}) != nil {
-		t.Fatal("JoinErrs of all-nil slice must be nil")
-	}
-	e1, e2 := errors.New("first"), errors.New("second")
-	joined := JoinErrs([]error{nil, e1, nil, e2})
-	if joined == nil || !errors.Is(joined, e1) || !errors.Is(joined, e2) {
+	e1, e3 := errors.New("first"), errors.New("third")
+	_, errs = MapErrCtx(context.Background(), 4, 2, func(i int) (int, error) {
+		switch i {
+		case 1:
+			return 0, e1
+		case 3:
+			return 0, e3
+		}
+		return i, nil
+	})
+	joined := errors.Join(errs...)
+	if joined == nil || !errors.Is(joined, e1) || !errors.Is(joined, e3) {
 		t.Fatalf("joined = %v", joined)
+	}
+	if got := joined.Error(); got != "first\nthird" {
+		t.Fatalf("joined text = %q, want the two causes only", got)
 	}
 }

@@ -28,12 +28,6 @@ func (t Term) Eval(x []float64) float64 {
 	return v
 }
 
-// Uses reports whether the term contains a non-constant factor of
-// parameter l.
-func (t Term) Uses(l int) bool {
-	return l >= 0 && l < len(t.Exps) && !t.Exps[l].IsConstant()
-}
-
 // Model is a PMNF performance model: a constant plus a sum of terms.
 // All terms must agree on the number of parameters.
 type Model struct {
@@ -58,15 +52,6 @@ func (m Model) Eval(x []float64) float64 {
 		v += t.Eval(x)
 	}
 	return v
-}
-
-// EvalAll evaluates the model at each row of points.
-func (m Model) EvalAll(points [][]float64) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = m.Eval(p)
-	}
-	return out
 }
 
 // paramName returns the display name for parameter l.
@@ -136,21 +121,4 @@ func LeadDistance(a, b Model) float64 {
 		}
 	}
 	return d
-}
-
-// Constant returns a model with no parameter dependence.
-func ConstantModel(c float64, numParams int) Model {
-	names := make([]string, numParams)
-	return Model{Constant: c, ParamNames: names}
-}
-
-// SingleParameterModel builds the one-parameter model c0 + c1*x^I*log2(x)^J
-// embedded in an m-parameter space at parameter index l.
-func SingleParameterModel(c0, c1 float64, e Exponents, l, numParams int) Model {
-	exps := make([]Exponents, numParams)
-	exps[l] = e
-	return Model{
-		Constant: c0,
-		Terms:    []Term{{Coefficient: c1, Exps: exps}},
-	}
 }

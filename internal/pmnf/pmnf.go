@@ -82,18 +82,6 @@ func Class(idx int) Exponents {
 	return allClasses[idx]
 }
 
-// ClassIndex returns the class index of e and whether e is an admissible
-// combination. Comparison uses a small tolerance so that values reconstructed
-// through float arithmetic still resolve.
-func ClassIndex(e Exponents) (int, bool) {
-	for idx, c := range allClasses {
-		if math.Abs(c.I-e.I) < 1e-9 && math.Abs(c.J-e.J) < 1e-9 {
-			return idx, true
-		}
-	}
-	return -1, false
-}
-
 // Distance returns the scalar distance between two exponent pairs used by
 // the model-accuracy buckets (d <= 1/4, 1/3, 1/2): the absolute difference
 // of the polynomial exponents. The bucket thresholds are exactly the

@@ -94,30 +94,6 @@ func (p *Profile) Kernels() []string {
 	return out
 }
 
-// Lookup returns the entry for a kernel and metric, if present. An empty
-// metric matches the first entry of the kernel.
-func (p *Profile) Lookup(kernel, metric string) (Entry, bool) {
-	for _, e := range p.Entries {
-		if e.Kernel == kernel && (metric == "" || e.Metric == metric) {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// PerformanceRelevant returns the entries whose runtime share exceeds 1%,
-// the paper's filter for the predictive-power analysis. Entries without a
-// recorded share (zero) are treated as relevant.
-func (p *Profile) PerformanceRelevant() []Entry {
-	var out []Entry
-	for _, e := range p.Entries {
-		if e.RuntimeShare == 0 || e.RuntimeShare > 0.01 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Write emits the profile as indented JSON.
 func (p *Profile) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -72,32 +72,6 @@ func TestKernels(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	p := validProfile()
-	if e, ok := p.Lookup("solver", "flops"); !ok || e.Metric != "flops" {
-		t.Fatal("Lookup by metric failed")
-	}
-	if e, ok := p.Lookup("solver", ""); !ok || e.Metric != "runtime" {
-		t.Fatal("Lookup first-of-kernel failed")
-	}
-	if _, ok := p.Lookup("nope", ""); ok {
-		t.Fatal("Lookup false positive")
-	}
-}
-
-func TestPerformanceRelevant(t *testing.T) {
-	rel := validProfile().PerformanceRelevant()
-	// solver/runtime (0.8), solver/flops (0 → treated relevant); io (0.005) excluded.
-	if len(rel) != 2 {
-		t.Fatalf("relevant = %d entries", len(rel))
-	}
-	for _, e := range rel {
-		if e.Kernel == "io" {
-			t.Fatal("io should be filtered")
-		}
-	}
-}
-
 func TestNumParams(t *testing.T) {
 	if validProfile().NumParams() != 1 {
 		t.Fatal("NumParams wrong")

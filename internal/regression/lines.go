@@ -69,30 +69,23 @@ func SelectLines(set *measurement.Set) ([]Line, error) {
 		// Prefer the longest line; among equally long lines prefer the one
 		// with the largest relative variation of its median values (the
 		// strongest signal for identifying the parameter's effect), then
-		// break remaining ties deterministically by the fixed coordinates.
+		// the smallest fixed coordinates' key. The span tolerance is not
+		// transitive, so the groups are visited in key order, not map order.
+		order := make([]string, 0, len(groups))
+		for key := range groups {
+			order = append(order, key)
+		}
+		sort.Strings(order)
 		bestKey := ""
 		bestSpan := -1.0
-		for key, g := range groups {
-			better := false
-			switch {
-			case bestKey == "":
-				better = true
-			case len(g) != len(groups[bestKey]):
-				better = len(g) > len(groups[bestKey])
-			default:
-				span := relativeSpan(g)
-				switch {
-				case span > bestSpan+1e-12:
-					better = true
-				case span < bestSpan-1e-12:
-					better = false
-				default:
-					better = key < bestKey
-				}
+		for _, key := range order {
+			g := groups[key]
+			if bestKey != "" && len(g) < len(groups[bestKey]) {
+				continue
 			}
-			if better {
-				bestKey = key
-				bestSpan = relativeSpan(g)
+			span := relativeSpan(g)
+			if bestKey == "" || len(g) > len(groups[bestKey]) || span > bestSpan+1e-12 {
+				bestKey, bestSpan = key, span
 			}
 		}
 		g := groups[bestKey]

@@ -297,6 +297,37 @@ func TestSelectLinesSparseCross(t *testing.T) {
 	}
 }
 
+func TestSelectLinesOrderIndependent(t *testing.T) {
+	// Three equally long x-lines at y = 1, 2, 3 whose relative spans, 0,
+	// 0.8e-12 and 1.6e-12, are pairwise within the 1e-12 tie tolerance
+	// except for the outer two. The tolerance is not transitive, so the
+	// chosen line must not depend on the order the groups are visited in.
+	// Two extra points at x = 1 give the y-line its five points.
+	s := &measurement.Set{}
+	for i, span := range []float64{0, 0.8e-12, 1.6e-12} {
+		y := float64(i + 1)
+		for x := 1.0; x <= 5; x++ {
+			v := 1.0
+			if x == 5 {
+				v += span
+			}
+			s.Data = append(s.Data, measurement.Measurement{Point: measurement.Point{x, y}, Values: []float64{v}})
+		}
+	}
+	for _, y := range []float64{4, 5} {
+		s.Data = append(s.Data, measurement.Measurement{Point: measurement.Point{1, y}, Values: []float64{1}})
+	}
+	for call := 0; call < 200; call++ {
+		lines, err := SelectLines(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lines[0].Fixed[1]; got != 3 {
+			t.Fatalf("call %d: x-line at y = %g, want y = 3", call, got)
+		}
+	}
+}
+
 func TestSelectLinesInsufficient(t *testing.T) {
 	s := lineSet([]float64{1, 2, 3}, func(x float64) float64 { return x })
 	if _, err := SelectLines(s); err == nil {

@@ -8,8 +8,9 @@ import (
 	"extrapdnn/internal/pmnf"
 )
 
+// model is 1 + 2*x1^I*log2(x1)^J in a two-parameter space.
 func model(e pmnf.Exponents) pmnf.Model {
-	return pmnf.SingleParameterModel(1, 2, e, 0, 2)
+	return pmnf.Model{Constant: 1, Terms: []pmnf.Term{{Coefficient: 2, Exps: []pmnf.Exponents{e, {}}}}}
 }
 
 func TestAnalyzeVerdicts(t *testing.T) {
@@ -97,7 +98,7 @@ func TestAnalyzeErrors(t *testing.T) {
 
 func TestEfficiencyPerfect(t *testing.T) {
 	// Constant runtime = perfect weak scaling.
-	m := pmnf.ConstantModel(10, 1)
+	m := pmnf.Model{Constant: 10, ParamNames: []string{"p"}}
 	eff, err := Efficiency(m, 0, []float64{1, 2, 4, 8}, []float64{1})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestEfficiencyPerfect(t *testing.T) {
 
 func TestEfficiencyDegrades(t *testing.T) {
 	// Linear growth: efficiency halves per doubling.
-	m := pmnf.SingleParameterModel(0, 1, pmnf.Exponents{I: 1}, 0, 1)
+	m := pmnf.Model{Terms: []pmnf.Term{{Coefficient: 1, Exps: []pmnf.Exponents{{I: 1}}}}}
 	eff, err := Efficiency(m, 0, []float64{2, 4, 8}, []float64{0})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func TestEfficiencyDegrades(t *testing.T) {
 }
 
 func TestEfficiencyErrors(t *testing.T) {
-	m := pmnf.ConstantModel(1, 1)
+	m := pmnf.Model{Constant: 1, ParamNames: []string{"p"}}
 	if _, err := Efficiency(m, 2, []float64{1}, []float64{1}); err == nil {
 		t.Fatal("bad parameter index should fail")
 	}
@@ -132,7 +133,7 @@ func TestEfficiencyErrors(t *testing.T) {
 	if _, err := Efficiency(m, 0, []float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("wrong fixed length should fail")
 	}
-	neg := pmnf.ConstantModel(-1, 1)
+	neg := pmnf.Model{Constant: -1, ParamNames: []string{"p"}}
 	if _, err := Efficiency(neg, 0, []float64{1, 2}, []float64{1}); err == nil {
 		t.Fatal("non-positive model should fail")
 	}
@@ -174,7 +175,7 @@ func TestAnalyzeAtFiltersNegligibleTerms(t *testing.T) {
 }
 
 func TestAnalyzeAtErrors(t *testing.T) {
-	m := pmnf.ConstantModel(1, 1)
+	m := pmnf.Model{Constant: 1, ParamNames: []string{"p"}}
 	if _, err := AnalyzeAt(m, 0, nil, []float64{1, 2}, 0); err == nil {
 		t.Fatal("wrong projection-point arity should fail")
 	}

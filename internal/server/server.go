@@ -214,9 +214,6 @@ func (s *Server) Swap(m *core.Modeler) uint64 {
 	return gen
 }
 
-// Generation returns the reload generation: 0 until the first Swap.
-func (s *Server) Generation() uint64 { return s.generation.Load() }
-
 // currentModeler pins the modeler for one request.
 func (s *Server) currentModeler() *core.Modeler { return s.modeler.Load() }
 
@@ -224,9 +221,6 @@ func (s *Server) currentModeler() *core.Modeler { return s.modeler.Load() }
 // and new modeling requests are rejected, while requests already executing
 // run to completion (http.Server.Shutdown provides the actual wait).
 func (s *Server) Drain() { s.draining.Store(true) }
-
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // InFlight returns the modeling requests currently executing.
 func (s *Server) InFlight() int64 { return s.inFlight.Load() }

@@ -189,19 +189,15 @@ type LineSample struct {
 	Class  int
 }
 
-// GenLineSample generates one training sample of the given class. When xs is
-// nil a random sequence of 5–11 points is drawn; otherwise the provided
+// GenLineSampleOpts generates one training sample of the given class. When
+// xs is nil a random sequence of 5–11 points is drawn; otherwise the provided
 // parameter values are used (domain adaptation uses the task's own values).
-// The noise level is drawn uniformly from [noiseLo, noiseHi]; reps values
-// are sampled per point and reduced to their median (reps >= 1).
-func GenLineSample(rng *rand.Rand, class int, xs []float64, reps int, noiseLo, noiseHi float64) LineSample {
-	return GenLineSampleOpts(rng, class, xs, reps, noiseLo, noiseHi, false)
-}
-
-// GenLineSampleOpts is GenLineSample with control over the noise draw: with
-// perPointNoise each measurement point gets its own level from
-// [noiseLo, noiseHi], mirroring campaigns whose run-to-run variability
-// differs per configuration; otherwise one level covers the whole line.
+// Noise levels are drawn uniformly from [noiseLo, noiseHi]: with
+// perPointNoise each measurement point gets its own level, mirroring
+// campaigns whose run-to-run variability differs per configuration;
+// otherwise one level covers the whole line. reps values are sampled per
+// point and reduced to their median (reps >= 1). It is the allocating
+// reference that LineWorkspace.GenLine is tested against.
 func GenLineSampleOpts(rng *rand.Rand, class int, xs []float64, reps int, noiseLo, noiseHi float64, perPointNoise bool) LineSample {
 	var w LineWorkspace
 	gxs, values := w.GenLine(rng, class, xs, reps, noiseLo, noiseHi, perPointNoise)

@@ -68,9 +68,9 @@ func TestNoiseFactorBounds(t *testing.T) {
 
 func TestGenLineSampleNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	classLinear, _ := pmnf.ClassIndex(pmnf.Exponents{I: 1, J: 0})
+	classLinear := classOf(t, pmnf.Exponents{I: 1, J: 0})
 	xs := []float64{4, 8, 16, 32, 64}
-	s := GenLineSample(rng, classLinear, xs, 1, 0, 0)
+	s := GenLineSampleOpts(rng, classLinear, xs, 1, 0, 0, false)
 	if s.Class != classLinear || len(s.Values) != 5 {
 		t.Fatalf("sample = %+v", s)
 	}
@@ -85,7 +85,7 @@ func TestGenLineSampleNoiseless(t *testing.T) {
 
 func TestGenLineSampleRandomSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := GenLineSample(rng, 0, nil, 5, 0.1, 0.5)
+	s := GenLineSampleOpts(rng, 0, nil, 5, 0.1, 0.5, false)
 	if len(s.Xs) < 5 || len(s.Xs) > 11 {
 		t.Fatalf("random sequence length %d outside [5,11]", len(s.Xs))
 	}
@@ -97,12 +97,12 @@ func TestGenLineSampleRandomSequence(t *testing.T) {
 func TestGenLineSampleRepsReduceNoise(t *testing.T) {
 	// With more repetitions the median is closer to truth on average.
 	rng := rand.New(rand.NewSource(5))
-	classConst, _ := pmnf.ClassIndex(pmnf.Exponents{})
+	classConst := classOf(t, pmnf.Exponents{})
 	xs := []float64{10, 20, 30, 40, 50}
 	spread := func(reps int) float64 {
 		total := 0.0
 		for trial := 0; trial < 200; trial++ {
-			s := GenLineSample(rng, classConst, xs, reps, 0.5, 0.5)
+			s := GenLineSampleOpts(rng, classConst, xs, reps, 0.5, 0.5, false)
 			mean := 0.0
 			for _, v := range s.Values {
 				mean += v
@@ -326,9 +326,9 @@ func TestTermVisibilityEnforced(t *testing.T) {
 	// the mean for non-constant classes on a wide sequence.
 	rng := rand.New(rand.NewSource(22))
 	xs := []float64{8, 64, 512, 4096, 32768}
-	linClass, _ := pmnf.ClassIndex(pmnf.Exponents{I: 1})
+	linClass := classOf(t, pmnf.Exponents{I: 1})
 	for trial := 0; trial < 50; trial++ {
-		s := GenLineSample(rng, linClass, xs, 1, 0, 0)
+		s := GenLineSampleOpts(rng, linClass, xs, 1, 0, 0, false)
 		lo, hi, sum := s.Values[0], s.Values[0], 0.0
 		for _, v := range s.Values {
 			if v < lo {
@@ -344,4 +344,16 @@ func TestTermVisibilityEnforced(t *testing.T) {
 			t.Fatalf("trial %d: invisible linear term, values %v", trial, s.Values)
 		}
 	}
+}
+
+// classOf returns the index of e among pmnf.Classes().
+func classOf(t *testing.T, e pmnf.Exponents) int {
+	t.Helper()
+	for i, c := range pmnf.Classes() {
+		if c == e {
+			return i
+		}
+	}
+	t.Fatalf("%+v is not a class", e)
+	return -1
 }

@@ -40,9 +40,6 @@ func (s *Span) StartTime() time.Time {
 	return t
 }
 
-// End returns start + duration.
-func (s *Span) End() time.Time { return s.StartTime().Add(time.Duration(s.DurNS)) }
-
 // Attr returns a string rendering of an attribute value ("" when absent).
 func (s *Span) Attr(key string) string {
 	v, ok := s.Attrs[key]
