@@ -28,9 +28,9 @@ type (
 	ProfileScanner = profile.Scanner
 )
 
-// ReadProfile parses and validates an application profile from JSON (as
-// written by Profile.Write or cmd/appsim). The whole profile is materialized;
-// for large campaigns prefer NewProfileScanner with ModelProfileStream.
+// ReadProfile parses and validates an application profile in either format
+// cmd/appsim writes (Profile.Write's JSON or the -jsonl stream). The whole
+// profile is materialized; for large campaigns prefer NewProfileScanner.
 func ReadProfile(r io.Reader) (*Profile, error) {
 	return profile.Read(r)
 }

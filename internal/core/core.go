@@ -335,20 +335,14 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 	if faultinject.Enabled {
 		faultinject.Fire(faultinject.SiteCoreModel, set)
 	}
-	if err := set.Validate(); err != nil {
-		return rep, err
-	}
-
-	// Step 1: noise estimation.
-	rep.Noise = noise.Analyze(set)
-
-	// Step 2: task properties for domain adaptation. Both modelers below
-	// work on these selected lines.
-	lines, err := regression.SelectLines(set)
+	// Steps 1 and 2: noise estimation and task properties for domain
+	// adaptation. Both modelers below read the prepared medians and lines.
+	na, prep, err := analyze(set)
+	rep.Noise = na
 	if err != nil {
 		return rep, err
 	}
-	task := extractTask(set, rep.Noise, lines, m.cfg.bucketWidth())
+	task := extractTask(set, rep.Noise, prep.Lines, m.cfg.bucketWidth())
 
 	useRegression := m.cfg.DisableDNN || rep.Noise.Global <= m.threshold()
 	useDNN := !m.cfg.DisableDNN
@@ -381,7 +375,7 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 		}
 		rep.Durations.Adapt = time.Since(adaptStart)
 		dnnStart := time.Now()
-		res, err := modeler.ModelCtx(ctx, set, lines)
+		res, err := modeler.ModelCtx(ctx, prep)
 		rep.Durations.DNN = time.Since(dnnStart)
 		switch {
 		case err == nil:
@@ -409,7 +403,7 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 		}
 		regStart := time.Now()
 		_, regSpan := obs.StartSpan(ctx, "core.regression")
-		res, err := regression.ModelLines(set, lines, regression.Options{TopK: m.cfg.TopK})
+		res, err := regression.ModelLines(prep, regression.Options{TopK: m.cfg.TopK})
 		regSpan.End()
 		rep.Durations.Regression = time.Since(regStart)
 		if err != nil {
@@ -440,6 +434,19 @@ func (m *Modeler) modelCtx(ctx context.Context, set *measurement.Set) (Report, e
 	}
 	rep.Durations.Total = time.Since(start)
 	return rep, nil
+}
+
+// analyze is the one per-set analysis of a modeling call: it validates the
+// set, estimates its noise and prepares its medians and lines. The noise
+// analysis is returned even when line selection fails; it is zero when
+// validation fails.
+func analyze(set *measurement.Set) (noise.Analysis, *regression.Prepared, error) {
+	if err := set.Validate(); err != nil {
+		return noise.Analysis{}, nil, err
+	}
+	na := noise.Analyze(set)
+	prep, err := regression.Prepare(set)
+	return na, prep, err
 }
 
 // threshold returns the effective switching threshold.
@@ -498,26 +505,23 @@ func quantizeNoise(v, width float64) float64 {
 }
 
 // signature builds the canonical cache signature of one adaptation task for
-// this modeler. The quantized task plus the signature fields fully determine
-// the adapted network: the rng stream is seeded from the signature key, so
-// equal signatures produce bit-identical adaptations.
+// this modeler: the task's part (taskSignature) plus the adaptation config,
+// pretrained fingerprint and seed. The quantized task plus these fields
+// fully determine the adapted network: the rng stream is seeded from the
+// signature key, so equal signatures produce bit-identical adaptations.
 func (m *Modeler) signature(set *measurement.Set, task dnnmodel.TaskInfo) adaptcache.Signature {
 	adapt := m.cfg.Adapt.WithDefaults()
-	return adaptcache.Signature{
-		ParamNames:      set.ParamNames,
-		ParamValues:     task.ParamValues,
-		Reps:            task.Reps,
-		NoiseMin:        task.NoiseMin,
-		NoiseMax:        task.NoiseMax,
-		PerPointNoise:   task.PerPointNoise,
-		SamplesPerClass: adapt.SamplesPerClass,
-		Epochs:          adapt.Epochs,
-		BatchSize:       adapt.BatchSize,
-		LearningRate:    adapt.LearningRate,
-		Fingerprint:     m.fp,
-		Seed:            m.cfg.Seed,
-		Precision:       adapt.Precision,
-	}
+	sig := taskSignature(set, task)
+	sig.SamplesPerClass, sig.Epochs, sig.BatchSize = adapt.SamplesPerClass, adapt.Epochs, adapt.BatchSize
+	sig.LearningRate, sig.Precision = adapt.LearningRate, adapt.Precision
+	sig.Fingerprint, sig.Seed = m.fp, m.cfg.Seed
+	return sig
+}
+
+// taskSignature is the layout-and-noise part of an adaptation signature.
+func taskSignature(set *measurement.Set, task dnnmodel.TaskInfo) adaptcache.Signature {
+	return adaptcache.Signature{ParamNames: set.ParamNames, ParamValues: task.ParamValues, Reps: task.Reps,
+		NoiseMin: task.NoiseMin, NoiseMax: task.NoiseMax, PerPointNoise: task.PerPointNoise}
 }
 
 // adaptedCtx returns the domain-adapted modeler for a task, from the cache
@@ -580,21 +584,10 @@ func (m *Modeler) adaptWithRetry(ctx context.Context, key string, task dnnmodel.
 // a profile would pay. bucketWidth follows Config.NoiseBucketWidth semantics:
 // 0 means DefaultNoiseBucketWidth, negative disables quantization.
 func TaskSignature(set *measurement.Set, bucketWidth float64) (string, error) {
-	if err := set.Validate(); err != nil {
-		return "", err
-	}
-	lines, err := regression.SelectLines(set)
+	na, prep, err := analyze(set)
 	if err != nil {
 		return "", err
 	}
-	na := noise.Analyze(set)
-	task := extractTask(set, na, lines, Config{NoiseBucketWidth: bucketWidth}.bucketWidth())
-	return adaptcache.Signature{
-		ParamNames:    set.ParamNames,
-		ParamValues:   task.ParamValues,
-		Reps:          task.Reps,
-		NoiseMin:      task.NoiseMin,
-		NoiseMax:      task.NoiseMax,
-		PerPointNoise: task.PerPointNoise,
-	}.Key(), nil
+	task := extractTask(set, na, prep.Lines, Config{NoiseBucketWidth: bucketWidth}.bucketWidth())
+	return taskSignature(set, task).Key(), nil
 }

@@ -152,8 +152,15 @@ func TestModelDisableAdaptation(t *testing.T) {
 
 func TestModelInvalidSet(t *testing.T) {
 	m, _ := New(testPretrained(), Config{Adapt: quietAdapt})
-	if _, err := m.Model(&measurement.Set{}); err == nil {
-		t.Fatal("expected validation error")
+	if rep, err := m.Model(&measurement.Set{}); err == nil || rep.Noise.PointLevels != nil {
+		t.Fatalf("invalid set: err %v, noise %+v; want an error and no noise analysis", err, rep.Noise)
+	}
+	// A valid set whose line is too short fails after the noise analysis,
+	// and the report keeps it.
+	short := noisySet(rand.New(rand.NewSource(1)), 0.1, func(x float64) float64 { return x })
+	short.Data = short.Data[:4]
+	if rep, err := m.Model(short); err == nil || rep.Noise.Global == 0 || len(rep.Noise.PointLevels) != 4 {
+		t.Fatalf("short line: err %v, noise %+v; want an error and the noise analysis", err, rep.Noise)
 	}
 }
 

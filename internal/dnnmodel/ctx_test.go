@@ -79,16 +79,16 @@ func TestModelCtxCancelled(t *testing.T) {
 			Values: []float64{10 + 2*e.Eval(x)},
 		})
 	}
-	lines, err := regression.SelectLines(set)
+	prep, err := regression.Prepare(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ModelCtx(cancelledCtx(), set, lines); !errors.Is(err, context.Canceled) {
+	if _, err := m.ModelCtx(cancelledCtx(), prep); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ModelCtx returned %v", err)
 	}
 	// Healthy path through ModelCtx matches Model.
 	resA, errA := m.Model(set)
-	resB, errB := m.ModelCtx(context.Background(), set, lines)
+	resB, errB := m.ModelCtx(context.Background(), prep)
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v, %v", errA, errB)
 	}

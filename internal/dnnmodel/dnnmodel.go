@@ -444,18 +444,18 @@ func (m *Modeler) Model(set *measurement.Set) (regression.Result, error) {
 	if err := set.Validate(); err != nil {
 		return regression.Result{}, err
 	}
-	lines, err := regression.SelectLines(set)
+	p, err := regression.Prepare(set)
 	if err != nil {
 		return regression.Result{}, err
 	}
-	return m.ModelCtx(context.Background(), set, lines)
+	return m.ModelCtx(context.Background(), p)
 }
 
-// ModelCtx is Model for a validated set whose lines were already selected by
-// regression.SelectLines, with cancellation: the context is checked before
-// each parameter's fit, so a cancelled profile run stops between parameters
-// instead of finishing the whole combination search.
-func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set, lines []regression.Line) (regression.Result, error) {
+// ModelCtx is Model on a set prepared by regression.Prepare, with
+// cancellation: the context is checked before each parameter's fit, so a
+// cancelled profile run stops between parameters instead of finishing the
+// whole combination search.
+func (m *Modeler) ModelCtx(ctx context.Context, p *regression.Prepared) (regression.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return regression.Result{}, err
 	}
@@ -469,12 +469,12 @@ func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set, lines []re
 			return regression.Result{}, injected
 		}
 	}
-	classes, err := m.classifyLines(lines)
+	classes, err := m.classifyLines(p.Lines)
 	if err != nil {
 		return regression.Result{}, fmt.Errorf("dnnmodel: %w", err)
 	}
-	perParam := make([][]regression.Candidate, len(lines))
-	for l, line := range lines {
+	perParam := make([][]regression.Candidate, len(p.Lines))
+	for l, line := range p.Lines {
 		if err := ctx.Err(); err != nil {
 			return regression.Result{}, err
 		}
@@ -484,7 +484,7 @@ func (m *Modeler) ModelCtx(ctx context.Context, set *measurement.Set, lines []re
 		}
 		perParam[l] = cands
 	}
-	return regression.Combine(set, perParam)
+	return p.Combine(perParam)
 }
 
 // classifyLines classifies every selected line of a set in one batched

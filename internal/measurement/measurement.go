@@ -6,9 +6,10 @@
 package measurement
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"extrapdnn/internal/stats"
 )
@@ -44,6 +45,19 @@ func (p Point) Clone() Point {
 	c := make(Point, len(p))
 	copy(c, p)
 	return c
+}
+
+// AppendKey appends the big-endian Float64bits of every coordinate except
+// the one at index skip (-1 keeps all) to buf. Two points have equal keys
+// exactly when those coordinates are bit-identical, which for the positive
+// finite coordinates of a valid set is coordinate equality.
+func (p Point) AppendKey(buf []byte, skip int) []byte {
+	for l, x := range p {
+		if l != skip {
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+	}
+	return buf
 }
 
 // String renders the point as "P(8, 64)".
@@ -91,8 +105,9 @@ func (s *Set) NumParams() int {
 }
 
 // Validate checks structural invariants: at least one measurement, equal
-// parameter counts everywhere, positive parameter values, nonempty
-// repetitions, and no duplicated points.
+// parameter counts everywhere, positive finite parameter values, nonempty
+// finite repetitions, and no duplicated points. Points are compared by the
+// Float64bits of their coordinates (see AppendKey).
 func (s *Set) Validate() error {
 	if len(s.Data) == 0 {
 		return errors.New("measurement set is empty")
@@ -101,62 +116,50 @@ func (s *Set) Validate() error {
 	if m == 0 {
 		return errors.New("measurement points have no parameters")
 	}
-	seen := make(map[string]bool, len(s.Data))
+	seen := make(map[string]struct{}, len(s.Data))
+	var key []byte
 	for i, d := range s.Data {
 		if len(d.Point) != m {
 			return fmt.Errorf("measurement %d has %d parameters, want %d", i, len(d.Point), m)
 		}
 		for l, x := range d.Point {
-			if x <= 0 {
-				return fmt.Errorf("measurement %d: parameter %d value %g must be positive", i, l, x)
+			if !finite(x) || x <= 0 {
+				return fmt.Errorf("measurement %d: parameter %d value %g must be positive and finite", i, l, x)
 			}
 		}
 		if len(d.Values) == 0 {
 			return fmt.Errorf("measurement %d at %v has no repetitions", i, d.Point)
 		}
-		key := d.Point.String()
-		if seen[key] {
+		for _, v := range d.Values {
+			if !finite(v) {
+				return fmt.Errorf("measurement %d at %v has non-finite value %g", i, d.Point, v)
+			}
+		}
+		key = d.Point.AppendKey(key[:0], -1)
+		if _, dup := seen[string(key)]; dup {
 			return fmt.Errorf("duplicate measurement point %v", d.Point)
 		}
-		seen[key] = true
+		seen[string(key)] = struct{}{}
 	}
 	return nil
 }
 
 // Medians returns the points and the per-point median values, the inputs the
-// modelers consume.
+// modelers consume. A point without values gets median 0.
 func (s *Set) Medians() (points []Point, values []float64) {
 	points = make([]Point, len(s.Data))
 	values = make([]float64, len(s.Data))
+	var scratch []float64
 	for i, d := range s.Data {
 		points[i] = d.Point
-		v, err := d.Median()
-		if err != nil {
-			v = 0
+		if len(d.Values) == 0 {
+			continue
 		}
-		values[i] = v
+		// MedianInPlace on a copy is stats.Median without its per-call copy.
+		scratch = append(scratch[:0], d.Values...)
+		values[i] = stats.MedianInPlace(scratch)
 	}
 	return points, values
-}
-
-// ParamValues returns the sorted distinct values each parameter takes in the
-// set.
-func (s *Set) ParamValues() [][]float64 {
-	m := s.NumParams()
-	out := make([][]float64, m)
-	for l := 0; l < m; l++ {
-		set := map[float64]bool{}
-		for _, d := range s.Data {
-			set[d.Point[l]] = true
-		}
-		vals := make([]float64, 0, len(set))
-		for v := range set {
-			vals = append(vals, v)
-		}
-		sort.Float64s(vals)
-		out[l] = vals
-	}
-	return out
 }
 
 // Repetitions returns the largest repetition count in the set.

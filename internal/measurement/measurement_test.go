@@ -93,22 +93,6 @@ func TestMedians(t *testing.T) {
 	}
 }
 
-func TestParamValues(t *testing.T) {
-	pv := sampleSet().ParamValues()
-	if len(pv) != 2 {
-		t.Fatalf("%d parameters", len(pv))
-	}
-	want0 := []float64{8, 16, 32}
-	for i, v := range want0 {
-		if pv[0][i] != v {
-			t.Fatalf("param 0 values = %v", pv[0])
-		}
-	}
-	if len(pv[1]) != 2 || pv[1][0] != 10 || pv[1][1] != 20 {
-		t.Fatalf("param 1 values = %v", pv[1])
-	}
-}
-
 func TestRepetitions(t *testing.T) {
 	if sampleSet().Repetitions() != 3 {
 		t.Fatal("Repetitions should report the max")

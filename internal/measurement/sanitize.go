@@ -66,6 +66,7 @@ func (s *Set) Sanitize() SanitizeReport {
 	var rep SanitizeReport
 	kept := s.Data[:0]
 	seen := make(map[string]int, len(s.Data))
+	var key []byte
 scan:
 	for i, d := range s.Data {
 		for _, x := range d.Point {
@@ -97,8 +98,8 @@ scan:
 			rep.DroppedPoints++
 			continue
 		}
-		key := d.Point.String()
-		if at, dup := seen[key]; dup {
+		key = d.Point.AppendKey(key[:0], -1)
+		if at, dup := seen[string(key)]; dup {
 			// Merge into the first occurrence. The three-index slice
 			// expression forces the append to reallocate, so the merged
 			// values can never scribble over another measurement's backing
@@ -109,7 +110,7 @@ scan:
 			rep.MergedPoints++
 			continue
 		}
-		seen[key] = len(kept)
+		seen[string(key)] = len(kept)
 		kept = append(kept, d)
 	}
 	s.Data = kept

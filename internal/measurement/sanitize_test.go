@@ -152,3 +152,20 @@ func TestSanitizeEmptyAfterwardsStillFailsValidation(t *testing.T) {
 		t.Fatal("set that sanitizes to empty must still fail validation")
 	}
 }
+
+func TestValidateRejectsNonFinite(t *testing.T) {
+	const tail = "2 2\n4 3\n8 4\n16 5\n32 6\n"
+	for _, in := range []string{"NaN 1\n", "+Inf 1\n", "3 NaN\n", "3 +Inf\n", "3 -Inf\n", "3 1 NaN\n"} {
+		if _, err := ReadTextWith(strings.NewReader(in+tail), 1, ReadConfig{NoSanitize: true}); err == nil {
+			t.Errorf("%q: accepted without sanitizing", in)
+		}
+		set, err := ReadTextWith(strings.NewReader(in+tail), 1, ReadConfig{})
+		if err != nil || len(set.Data) < 5 {
+			t.Errorf("%q: sanitized read = %v, %v", in, set, err)
+		}
+	}
+	// Non-positive values stay valid: only the sanitizer drops them.
+	if _, err := ReadTextWith(strings.NewReader("3 -1 0\n"+tail), 1, ReadConfig{NoSanitize: true}); err != nil {
+		t.Errorf("non-positive values rejected: %v", err)
+	}
+}

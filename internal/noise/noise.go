@@ -12,62 +12,12 @@ import (
 	"extrapdnn/internal/stats"
 )
 
-// RelativeDeviations returns rd(v_{P,s}) = (v_{P,s} - mean) / mean for every
-// repetition of m (Eq. 3). It returns nil when the measurement has no values
-// or a zero mean.
-func RelativeDeviations(m measurement.Measurement) []float64 {
-	if len(m.Values) == 0 {
-		return nil
-	}
-	mean := stats.Mean(m.Values)
-	if mean == 0 {
-		return nil
-	}
-	out := make([]float64, len(m.Values))
-	for i, v := range m.Values {
-		out[i] = (v - mean) / mean
-	}
-	return out
-}
-
-// Range returns rrd(D) = max(D) - min(D) (Eq. 4), or 0 for empty input.
-func Range(deviations []float64) float64 {
-	if len(deviations) == 0 {
-		return 0
-	}
-	return stats.Max(deviations) - stats.Min(deviations)
-}
-
-// PointLevel estimates the noise level at a single measurement point as the
-// range of its relative deviations. With few repetitions this systematically
-// underestimates the true level (the repetitions rarely span the whole noise
-// window); see PointLevelCorrected.
-func PointLevel(m measurement.Measurement) float64 {
-	return Range(RelativeDeviations(m))
-}
-
-// PointLevelCorrected rescales PointLevel by the expected range shrinkage of
-// k uniform samples: the expected range of k draws from a width-n uniform
-// window is n*(k-1)/(k+1), so multiplying by (k+1)/(k-1) removes the bias.
-// For k < 2 it returns 0 (a single repetition carries no noise information).
-func PointLevelCorrected(m measurement.Measurement) float64 {
-	k := len(m.Values)
-	if k < 2 {
-		return 0
-	}
-	return PointLevel(m) * float64(k+1) / float64(k-1)
-}
-
 // EstimateLevel estimates the overall noise level of a measurement set as
 // the range of the combined relative deviations of all points (the paper's
 // range-of-relative-deviation heuristic). The result is a fraction: 0.10
-// means ±5% deviation around the true value.
+// means ±5% deviation around the true value. It is Analyze's Global field.
 func EstimateLevel(s *measurement.Set) float64 {
-	var all []float64
-	for _, m := range s.Data {
-		all = append(all, RelativeDeviations(m)...)
-	}
-	return Range(all)
+	return Analyze(s).Global
 }
 
 // Analysis summarizes the noise levels found in a measurement set, both the
@@ -81,16 +31,47 @@ type Analysis struct {
 	Global      float64   // combined range-of-relative-deviation estimate
 }
 
-// Analyze computes the noise analysis of a measurement set. Points with
-// fewer than two repetitions contribute a zero level (no information).
+// Analyze computes the noise analysis of a measurement set in one pass over
+// the relative deviations rd(v) = (v - mean)/mean of each point (Eq. 3). A
+// point's level is the range of its deviations times (k+1)/(k-1) for k
+// repetitions, which removes the expected range shrinkage of k uniform
+// draws; fewer than two repetitions or a zero mean give level 0. Global is
+// the range of all deviations (Eq. 4), folded from the per-point extremes
+// with stats.Min's and stats.Max's comparisons: exact, since a point's
+// deviations are either all NaN or none is.
 func Analyze(s *measurement.Set) Analysis {
 	levels := make([]float64, len(s.Data))
+	var lo, hi float64
+	seen := false
 	for i, m := range s.Data {
-		levels[i] = PointLevelCorrected(m)
+		mean := stats.Mean(m.Values)
+		if len(m.Values) == 0 || mean == 0 {
+			continue
+		}
+		var plo, phi float64
+		for j, v := range m.Values {
+			d := (v - mean) / mean
+			if j == 0 || d < plo {
+				plo = d
+			}
+			if j == 0 || d > phi {
+				phi = d
+			}
+		}
+		if k := len(m.Values); k >= 2 {
+			levels[i] = (phi - plo) * float64(k+1) / float64(k-1)
+		}
+		if !seen || plo < lo {
+			lo = plo
+		}
+		if !seen || phi > hi {
+			hi = phi
+		}
+		seen = true
 	}
-	a := Analysis{
-		PointLevels: levels,
-		Global:      EstimateLevel(s),
+	a := Analysis{PointLevels: levels}
+	if seen {
+		a.Global = hi - lo
 	}
 	if len(levels) > 0 {
 		a.Mean = stats.Mean(levels)

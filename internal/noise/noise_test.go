@@ -8,43 +8,48 @@ import (
 	"extrapdnn/internal/measurement"
 )
 
+// analyzeValues analyzes a set with one point per value list.
+func analyzeValues(vals ...[]float64) Analysis {
+	set := &measurement.Set{}
+	for i, v := range vals {
+		set.Data = append(set.Data, measurement.Measurement{Point: measurement.Point{float64(i + 1)}, Values: v})
+	}
+	return Analyze(set)
+}
+
 func TestRelativeDeviations(t *testing.T) {
-	m := measurement.Measurement{Point: measurement.Point{1}, Values: []float64{90, 110}}
-	rd := RelativeDeviations(m)
-	if math.Abs(rd[0]+0.1) > 1e-12 || math.Abs(rd[1]-0.1) > 1e-12 {
-		t.Fatalf("rd = %v, want [-0.1 0.1]", rd)
+	// rd = [-0.1, 0.1]: range 0.2, corrected by (2+1)/(2-1) = 3.
+	a := analyzeValues([]float64{90, 110})
+	if math.Abs(a.Global-0.2) > 1e-12 || math.Abs(a.PointLevels[0]-0.6) > 1e-12 {
+		t.Fatalf("analysis = %+v, want global 0.2 and level 0.6", a)
 	}
 }
 
 func TestRelativeDeviationsDegenerate(t *testing.T) {
-	if RelativeDeviations(measurement.Measurement{}) != nil {
-		t.Fatal("empty measurement should give nil")
-	}
-	zero := measurement.Measurement{Values: []float64{1, -1}}
-	if RelativeDeviations(zero) != nil {
-		t.Fatal("zero mean should give nil")
+	// A point without values or with a zero mean has no deviations.
+	a := analyzeValues(nil, []float64{1, -1})
+	if a.Global != 0 || a.PointLevels[0] != 0 || a.PointLevels[1] != 0 {
+		t.Fatalf("analysis = %+v, want all zero", a)
 	}
 }
 
 func TestRange(t *testing.T) {
-	if Range([]float64{-0.1, 0.05, 0.02}) != 0.15000000000000002 && math.Abs(Range([]float64{-0.1, 0.05, 0.02})-0.15) > 1e-12 {
-		t.Fatalf("Range = %v", Range([]float64{-0.1, 0.05, 0.02}))
-	}
-	if Range(nil) != 0 {
-		t.Fatal("Range(nil) should be 0")
+	// Global is the range of all points' deviations together: the first
+	// point spans [-0.05, 0.05], the second [-0.1, 0.1] in reverse order.
+	a := analyzeValues([]float64{95, 105}, []float64{110, 90})
+	if math.Abs(a.Global-0.2) > 1e-12 {
+		t.Fatalf("Global = %v, want 0.2", a.Global)
 	}
 }
 
 func TestPointLevelNoiseless(t *testing.T) {
-	m := measurement.Measurement{Values: []float64{5, 5, 5}}
-	if PointLevel(m) != 0 {
+	if a := analyzeValues([]float64{5, 5, 5}); a.PointLevels[0] != 0 || a.Global != 0 {
 		t.Fatal("identical repetitions have zero noise")
 	}
 }
 
 func TestPointLevelCorrectedSingleRep(t *testing.T) {
-	m := measurement.Measurement{Values: []float64{5}}
-	if PointLevelCorrected(m) != 0 {
+	if analyzeValues([]float64{5}).PointLevels[0] != 0 {
 		t.Fatal("single repetition carries no noise information")
 	}
 }
@@ -95,7 +100,7 @@ func TestPointLevelCorrectedUnbiased(t *testing.T) {
 		for r := range vals {
 			vals[r] = 100 * (1 + level*(rng.Float64()-0.5))
 		}
-		sum += PointLevelCorrected(measurement.Measurement{Values: vals})
+		sum += analyzeValues(vals).PointLevels[0]
 	}
 	mean := sum / n
 	if math.Abs(mean-level) > 0.03 {

@@ -38,35 +38,59 @@ type Profile struct {
 // least one entry, valid measurement sets, unique (kernel, metric) pairs,
 // and a consistent parameter count.
 func (p *Profile) Validate() error {
+	return p.validate(nil)
+}
+
+// validate is Validate with an optional per-entry repair pass.
+func (p *Profile) validate(sanitize func(*Entry)) error {
 	if p.Application == "" {
 		return fmt.Errorf("profile: application name is empty")
 	}
 	if len(p.Entries) == 0 {
 		return fmt.Errorf("profile: no entries")
 	}
-	seen := map[string]bool{}
-	numParams := -1
-	for i, e := range p.Entries {
-		if e.Kernel == "" {
-			return fmt.Errorf("profile: entry %d has no kernel name", i)
+	c := entryCheck{sanitize: sanitize, seen: map[string]bool{}}
+	for i := range p.Entries {
+		if err := c.check(i, &p.Entries[i]); err != nil {
+			return err
 		}
-		if e.Set == nil {
-			return fmt.Errorf("profile: entry %d (%s) has no measurements", i, e.Kernel)
-		}
-		if err := e.Set.Validate(); err != nil {
-			return fmt.Errorf("profile: entry %d (%s): %w", i, e.Kernel, err)
-		}
-		key := e.Kernel + "\x00" + e.Metric
-		if seen[key] {
-			return fmt.Errorf("profile: duplicate entry for kernel %q metric %q", e.Kernel, e.Metric)
-		}
-		seen[key] = true
-		if numParams == -1 {
-			numParams = e.Set.NumParams()
-		} else if e.Set.NumParams() != numParams {
-			return fmt.Errorf("profile: entry %d (%s) has %d parameters, want %d",
-				i, e.Kernel, e.Set.NumParams(), numParams)
-		}
+	}
+	return nil
+}
+
+// entryCheck holds the per-entry invariants of a profile, shared by
+// Profile.Validate and the Scanner: a kernel name, a valid measurement set,
+// unique (kernel, metric) pairs and one parameter count.
+type entryCheck struct {
+	sanitize  func(*Entry) // runs before the set is validated; nil skips it
+	seen      map[string]bool
+	numParams int // 0 until the first entry: a valid set has parameters
+}
+
+// check validates entry i.
+func (c *entryCheck) check(i int, e *Entry) error {
+	if e.Kernel == "" {
+		return fmt.Errorf("profile: entry %d has no kernel name", i)
+	}
+	if e.Set == nil {
+		return fmt.Errorf("profile: entry %d (%s) has no measurements", i, e.Kernel)
+	}
+	if c.sanitize != nil {
+		c.sanitize(e)
+	}
+	if err := e.Set.Validate(); err != nil {
+		return fmt.Errorf("profile: entry %d (%s): %w", i, e.Kernel, err)
+	}
+	key := e.Kernel + "\x00" + e.Metric
+	if c.seen[key] {
+		return fmt.Errorf("profile: duplicate entry for kernel %q metric %q", e.Kernel, e.Metric)
+	}
+	c.seen[key] = true
+	if c.numParams == 0 {
+		c.numParams = e.Set.NumParams()
+	} else if e.Set.NumParams() != c.numParams {
+		return fmt.Errorf("profile: entry %d (%s) has %d parameters, want %d",
+			i, e.Kernel, e.Set.NumParams(), c.numParams)
 	}
 	return nil
 }
@@ -104,8 +128,10 @@ func (p *Profile) Write(w io.Writer) error {
 	return nil
 }
 
-// Read parses, sanitizes and validates a profile. Each entry's measurement
-// set passes through the same default repair pass as the single-set readers
+// Read parses, sanitizes and validates a profile in either format: the
+// single-object array format (Profile.Write) or the JSONL stream format
+// (Writer, appsim -jsonl). Each entry's measurement set passes through the
+// same default repair pass as the single-set readers
 // (NaN/Inf/non-positive/duplicate points); use ReadWith to disable it or to
 // observe the per-entry reports.
 func Read(r io.Reader) (*Profile, error) {
@@ -116,25 +142,25 @@ func Read(r io.Reader) (*Profile, error) {
 // sanitization config through every entry: sanitization runs before
 // validation (so a set repaired to emptiness still fails, matching
 // measurement.ReadJSONWith), and OnSanitize observes each entry that needed
-// repair. For O(1)-memory scanning of large campaigns use NewScannerWith
-// instead.
+// repair. A first object without entries is a JSONL header that the entries
+// follow. Unlike the Scanner, ReadWith accepts an array-format application
+// name after the entries. For O(1)-memory scanning use NewScannerWith.
 func ReadWith(r io.Reader, opts ReadOptions) (*Profile, error) {
 	var p Profile
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
-	if !opts.Read.NoSanitize {
-		for i := range p.Entries {
-			e := &p.Entries[i]
-			if e.Set == nil {
-				continue
+	if len(p.Entries) == 0 {
+		for dec.More() {
+			var e Entry
+			if err := dec.Decode(&e); err != nil {
+				return nil, fmt.Errorf("profile: decode entry %d: %w", len(p.Entries), err)
 			}
-			if rep := e.Set.Sanitize(); !rep.Clean() && opts.OnSanitize != nil {
-				opts.OnSanitize(e, rep)
-			}
+			p.Entries = append(p.Entries, e)
 		}
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(opts.sanitizer()); err != nil {
 		return nil, err
 	}
 	return &p, nil

@@ -2,6 +2,8 @@ package profile
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -97,6 +99,61 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 	if got.Entries[0].RuntimeShare != 0.8 {
 		t.Fatal("runtime share lost")
+	}
+}
+
+// TestReadBothFormats loads one profile from the array format and from the
+// JSONL stream format, with one dirty entry: both decode to the same
+// profile and report the same repair. An array file may also name its
+// application after the entries, which the Scanner rejects.
+func TestReadBothFormats(t *testing.T) {
+	p := validProfile()
+	p.Entries[1].Set.Data = append(p.Entries[1].Set.Data, measurement.Measurement{
+		Point: measurement.Point{1}, Values: []float64{1.05},
+	})
+	var array, jsonl bytes.Buffer
+	if err := p.Write(&array); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	read := func(name string, data []byte) (*Profile, []string) {
+		t.Helper()
+		var repairs []string
+		got, err := ReadWith(bytes.NewReader(data), ReadOptions{
+			OnSanitize: func(e *Entry, rep measurement.SanitizeReport) {
+				repairs = append(repairs, e.Kernel+": "+rep.String())
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return got, repairs
+	}
+	fromArray, arrayRepairs := read("array", array.Bytes())
+	fromJSONL, jsonlRepairs := read("jsonl", jsonl.Bytes())
+	if !reflect.DeepEqual(fromArray, fromJSONL) || !reflect.DeepEqual(arrayRepairs, jsonlRepairs) {
+		t.Fatalf("array %+v %v and JSONL %+v %v differ", fromArray, arrayRepairs, fromJSONL, jsonlRepairs)
+	}
+	if len(fromJSONL.Entries) != 3 || fromJSONL.Application != "demo" || len(jsonlRepairs) != 1 {
+		t.Fatalf("JSONL read = %+v, repairs %v", fromJSONL, jsonlRepairs)
+	}
+	if _, err := ReadWith(bytes.NewReader(jsonl.Bytes()), ReadOptions{Read: measurement.ReadConfig{NoSanitize: true}}); err == nil {
+		t.Fatal("NoSanitize must surface the duplicate point in a JSONL profile")
+	}
+
+	entries, err := json.Marshal(validProfile().Entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := `{"entries":` + string(entries) + `,"application":"demo"}`
+	got, err := Read(strings.NewReader(late))
+	if err != nil || got.Application != "demo" || len(got.Entries) != 3 {
+		t.Fatalf("application after entries: %+v, %v", got, err)
+	}
+	if _, err := NewScanner(strings.NewReader(late)); err == nil {
+		t.Fatal("the Scanner needs the application before the entries")
 	}
 }
 

@@ -31,6 +31,18 @@ type ReadOptions struct {
 	OnSanitize func(e *Entry, rep measurement.SanitizeReport)
 }
 
+// sanitizer returns the per-entry repair pass the options ask for, or nil.
+func (o ReadOptions) sanitizer() func(*Entry) {
+	if o.Read.NoSanitize {
+		return nil
+	}
+	return func(e *Entry) {
+		if rep := e.Set.Sanitize(); !rep.Clean() && o.OnSanitize != nil {
+			o.OnSanitize(e, rep)
+		}
+	}
+}
+
 // Source yields profile entries one at a time; NextEntry returns io.EOF
 // after the last entry. It is the input contract of the streaming campaign
 // pipeline: a Scanner streams entries from disk, Entries adapts an in-memory
@@ -49,21 +61,16 @@ type Source interface {
 //
 // The format is detected from the header object itself: if it contains an
 // "entries" key the scanner switches to array mode, otherwise the entries
-// follow as concatenated JSON values. Per-entry validation matches
-// Profile.Validate (kernel name, set validity, duplicate (kernel, metric)
-// detection, parameter-count consistency), and each entry's measurement set
-// passes through the configured sanitization before validation, exactly like
-// the single-set readers.
+// follow as concatenated JSON values. Each entry passes Profile.Validate's
+// per-entry checks, its set sanitized first as configured.
 type Scanner struct {
 	dec        *json.Decoder
-	opts       ReadOptions
 	app        string
 	paramNames []string
 	array      bool
 	entry      Entry
 	count      int
-	numParams  int
-	seen       map[string]bool
+	checker    *entryCheck
 	err        error
 	done       bool
 }
@@ -78,10 +85,8 @@ func NewScanner(r io.Reader) (*Scanner, error) {
 // NewScannerWith is NewScanner with explicit read options.
 func NewScannerWith(r io.Reader, opts ReadOptions) (*Scanner, error) {
 	s := &Scanner{
-		dec:       json.NewDecoder(r),
-		opts:      opts,
-		numParams: -1,
-		seen:      map[string]bool{},
+		dec:     json.NewDecoder(r),
+		checker: &entryCheck{sanitize: opts.sanitizer(), seen: map[string]bool{}},
 	}
 	if err := s.readHeader(); err != nil {
 		return nil, err
@@ -164,7 +169,7 @@ func (s *Scanner) Scan() bool {
 		s.err = fmt.Errorf("profile: decode entry %d: %w", s.count, err)
 		return false
 	}
-	if err := s.check(&s.entry); err != nil {
+	if err := s.checker.check(s.count, &s.entry); err != nil {
 		s.err = err
 		return false
 	}
@@ -196,39 +201,6 @@ func (s *Scanner) finishArray() {
 	}
 }
 
-// check applies the per-entry slice of Profile.Validate's invariants, after
-// running the configured sanitization (sanitize-to-empty still fails
-// validation, matching the single-set readers).
-func (s *Scanner) check(e *Entry) error {
-	i := s.count
-	if e.Kernel == "" {
-		return fmt.Errorf("profile: entry %d has no kernel name", i)
-	}
-	if e.Set == nil {
-		return fmt.Errorf("profile: entry %d (%s) has no measurements", i, e.Kernel)
-	}
-	if !s.opts.Read.NoSanitize {
-		if rep := e.Set.Sanitize(); !rep.Clean() && s.opts.OnSanitize != nil {
-			s.opts.OnSanitize(e, rep)
-		}
-	}
-	if err := e.Set.Validate(); err != nil {
-		return fmt.Errorf("profile: entry %d (%s): %w", i, e.Kernel, err)
-	}
-	key := e.Kernel + "\x00" + e.Metric
-	if s.seen[key] {
-		return fmt.Errorf("profile: duplicate entry for kernel %q metric %q", e.Kernel, e.Metric)
-	}
-	s.seen[key] = true
-	if s.numParams == -1 {
-		s.numParams = e.Set.NumParams()
-	} else if e.Set.NumParams() != s.numParams {
-		return fmt.Errorf("profile: entry %d (%s) has %d parameters, want %d",
-			i, e.Kernel, e.Set.NumParams(), s.numParams)
-	}
-	return nil
-}
-
 // Entry returns the current entry (valid until the next Scan call).
 func (s *Scanner) Entry() Entry { return s.entry }
 
@@ -247,8 +219,8 @@ func (s *Scanner) Count() int { return s.count }
 // NumParams returns the parameter count observed so far (len(ParamNames)
 // before the first entry).
 func (s *Scanner) NumParams() int {
-	if s.numParams >= 0 {
-		return s.numParams
+	if s.checker.numParams > 0 {
+		return s.checker.numParams
 	}
 	return len(s.paramNames)
 }

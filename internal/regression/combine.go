@@ -24,7 +24,14 @@ import (
 // For a single parameter this reduces to selecting the best candidate, with
 // coefficients refitted on the full set.
 func Combine(set *measurement.Set, perParam [][]Candidate) (Result, error) {
-	m := set.NumParams()
+	p := &Prepared{Set: set}
+	p.Points, p.Values = set.Medians()
+	return p.Combine(perParam)
+}
+
+// Combine is the package-level Combine on the prepared points and medians.
+func (p *Prepared) Combine(perParam [][]Candidate) (Result, error) {
+	m := p.Set.NumParams()
 	if len(perParam) != m {
 		return Result{}, fmt.Errorf("regression: %d candidate lists for %d parameters", len(perParam), m)
 	}
@@ -33,9 +40,8 @@ func Combine(set *measurement.Set, perParam [][]Candidate) (Result, error) {
 			return Result{}, fmt.Errorf("regression: no candidates for parameter %d", l)
 		}
 	}
-	points, values := set.Medians()
 	partitions := setPartitions(m)
-	c := newCombiner(points, values, perParam, len(partitions))
+	c := newCombiner(p.Points, p.Values, perParam, len(partitions))
 
 	// The constant model is the fallback when no parameter influences
 	// performance.
@@ -72,10 +78,10 @@ func Combine(set *measurement.Set, perParam [][]Candidate) (Result, error) {
 	}
 	// Preserve the parameter count even for models without terms (NumParams
 	// falls back to len(ParamNames)).
-	names := set.ParamNames
+	names := p.Set.ParamNames
 	if len(names) != m {
 		names = make([]string, m)
-		copy(names, set.ParamNames)
+		copy(names, p.Set.ParamNames)
 	}
 	best.Model.ParamNames = names
 	return best, nil

@@ -2,7 +2,9 @@ package regression
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 
 	"extrapdnn/internal/measurement"
 )
@@ -16,94 +18,119 @@ type Line struct {
 	Fixed measurement.Point // the fixed values of the other parameters
 }
 
-// relativeSpan returns (max-min)/|mean| of a group's median values, a cheap
-// signal-strength score for line selection.
-func relativeSpan(g []measurement.Measurement) float64 {
-	lo, hi, sum := 0.0, 0.0, 0.0
-	for i, d := range g {
-		v, err := d.Median()
-		if err != nil {
-			return 0
-		}
-		if i == 0 || v < lo {
-			lo = v
-		}
-		if i == 0 || v > hi {
-			hi = v
-		}
-		sum += v
+// Prepared is the per-set analysis both modelers read from: the set's
+// points, each point's median value (taken once) and the selected line of
+// every parameter. Build it with Prepare.
+type Prepared struct {
+	Set    *measurement.Set
+	Points []measurement.Point
+	Values []float64 // median value per point
+	Lines  []Line
+}
+
+// Prepare reduces a valid set (see measurement.Set.Validate) once: it takes
+// every point's median and selects every parameter's line, failing when a
+// parameter has no line of at least MinPointsPerParameter points.
+func Prepare(set *measurement.Set) (*Prepared, error) {
+	p := &Prepared{Set: set, Lines: make([]Line, set.NumParams())}
+	p.Points, p.Values = set.Medians()
+	if err := p.selectLines(); err != nil {
+		return nil, err
 	}
-	mean := sum / float64(len(g))
-	if mean == 0 {
-		return 0
-	}
-	span := (hi - lo) / mean
-	if span < 0 {
-		return -span
-	}
-	return span
+	return p, nil
 }
 
 // SelectLines finds, for every parameter, the longest single-parameter
-// measurement line in the set (ties broken deterministically by the fixed
-// coordinates). Both modelers use these lines to identify per-parameter
-// behavior before combining. An error is returned when some parameter has no
-// line with at least MinPointsPerParameter points.
+// measurement line in a valid set (ties broken deterministically by the
+// fixed coordinates). It is Prepare's line selection.
 func SelectLines(set *measurement.Set) ([]Line, error) {
-	m := set.NumParams()
-	lines := make([]Line, m)
-	for l := 0; l < m; l++ {
-		groups := map[string][]measurement.Measurement{}
-		keys := map[string]measurement.Point{}
-		for _, d := range set.Data {
-			key := ""
-			for k := 0; k < m; k++ {
-				if k == l {
-					continue
+	p, err := Prepare(set)
+	if err != nil {
+		return nil, err
+	}
+	return p.Lines, nil
+}
+
+// lineGroup summarizes, in point order, the points that share the fixed
+// coordinates of one candidate line.
+type lineGroup struct {
+	key, text   string  // Float64bits key and "%g," text of the fixed coordinates
+	n, last     int     // point count, last point index
+	lo, hi, sum float64 // of the median values
+}
+
+// selectLines picks, for every parameter, the longest group of points that
+// agree in all other coordinates as that parameter's line.
+func (p *Prepared) selectLines() error {
+	ids := make(map[string]int)
+	var groups []lineGroup
+	var key, text []byte
+	for l := range p.Lines {
+		clear(ids)
+		groups = groups[:0]
+		for i, pt := range p.Points {
+			key = pt.AppendKey(key[:0], l)
+			id, ok := ids[string(key)]
+			if !ok {
+				// The tie-break compares the fixed coordinates' "%g," text,
+				// built once per group (strconv's shortest 'g' is fmt's %g).
+				text = text[:0]
+				for k, x := range pt {
+					if k != l {
+						text = append(strconv.AppendFloat(text, x, 'g', -1, 64), ',')
+					}
 				}
-				key += fmt.Sprintf("%g,", d.Point[k])
+				id = len(groups)
+				groups = append(groups, lineGroup{key: string(key), text: string(text)})
+				ids[groups[id].key] = id
 			}
-			groups[key] = append(groups[key], d)
-			keys[key] = d.Point
+			g, v := &groups[id], p.Values[i]
+			if g.n == 0 || v < g.lo {
+				g.lo = v
+			}
+			if g.n == 0 || v > g.hi {
+				g.hi = v
+			}
+			g.sum += v
+			g.n++
+			g.last = i
 		}
+		sort.Slice(groups, func(a, b int) bool { return groups[a].text < groups[b].text })
 		// Prefer the longest line; among equally long lines prefer the one
-		// with the largest relative variation of its median values (the
-		// strongest signal for identifying the parameter's effect), then
-		// the smallest fixed coordinates' key. The span tolerance is not
-		// transitive, so the groups are visited in key order, not map order.
-		order := make([]string, 0, len(groups))
-		for key := range groups {
-			order = append(order, key)
-		}
-		sort.Strings(order)
-		bestKey := ""
-		bestSpan := -1.0
-		for _, key := range order {
-			g := groups[key]
-			if bestKey != "" && len(g) < len(groups[bestKey]) {
+		// with the largest relative span (max-min)/|mean| of its medians (the
+		// strongest signal of the parameter's effect), then the smallest
+		// fixed coordinates' text. The span tolerance is not transitive, so
+		// the groups are visited in text order.
+		best, bestSpan := -1, -1.0
+		for id, g := range groups {
+			if best >= 0 && g.n < groups[best].n {
 				continue
 			}
-			span := relativeSpan(g)
-			if bestKey == "" || len(g) > len(groups[bestKey]) || span > bestSpan+1e-12 {
-				bestKey, bestSpan = key, span
+			span := 0.0
+			if mean := g.sum / float64(g.n); mean != 0 {
+				span = math.Abs((g.hi - g.lo) / mean)
+			}
+			if best < 0 || g.n > groups[best].n || span > bestSpan+1e-12 {
+				best, bestSpan = id, span
 			}
 		}
-		g := groups[bestKey]
-		if len(g) < measurement.MinPointsPerParameter {
-			return nil, fmt.Errorf("regression: parameter %d has only %d points on its longest line, need %d",
-				l, len(g), measurement.MinPointsPerParameter)
+		g := groups[best]
+		if g.n < measurement.MinPointsPerParameter {
+			return fmt.Errorf("regression: parameter %d has only %d points on its longest line, need %d",
+				l, g.n, measurement.MinPointsPerParameter)
 		}
-		sort.Slice(g, func(a, b int) bool { return g[a].Point[l] < g[b].Point[l] })
-		line := Line{Param: l, Fixed: keys[bestKey].Clone()}
-		for _, d := range g {
-			v, err := d.Median()
-			if err != nil {
-				return nil, err
+		members := make([]int, 0, g.n)
+		for i := 0; i <= g.last; i++ {
+			if key = p.Points[i].AppendKey(key[:0], l); string(key) == g.key {
+				members = append(members, i)
 			}
-			line.Xs = append(line.Xs, d.Point[l])
-			line.Vs = append(line.Vs, v)
 		}
-		lines[l] = line
+		sort.Slice(members, func(a, b int) bool { return p.Points[members[a]][l] < p.Points[members[b]][l] })
+		line := Line{Param: l, Fixed: p.Points[g.last].Clone(), Xs: make([]float64, g.n), Vs: make([]float64, g.n)}
+		for j, i := range members {
+			line.Xs[j], line.Vs[j] = p.Points[i][l], p.Values[i]
+		}
+		p.Lines[l] = line
 	}
-	return lines, nil
+	return nil
 }

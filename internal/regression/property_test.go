@@ -42,7 +42,7 @@ func TestFitLineNoiselessRecoveryProperty(t *testing.T) {
 			return false
 		}
 		for i, x := range xs {
-			if math.Abs(best.Eval(x)-vs[i]) > 0.05*math.Abs(vs[i])+1e-9 {
+			if math.Abs(best.C0+best.C1*best.Exps.Eval(x)-vs[i]) > 0.05*math.Abs(vs[i])+1e-9 {
 				return false
 			}
 		}

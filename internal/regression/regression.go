@@ -66,14 +66,6 @@ type Candidate struct {
 	SMAPE  float64 // leave-one-out cross-validated SMAPE
 }
 
-// Eval returns the candidate's prediction at x.
-func (c Candidate) Eval(x float64) float64 {
-	if c.Exps.IsConstant() {
-		return c.C0
-	}
-	return c.C0 + c.C1*c.Exps.Eval(x)
-}
-
 // FitLine searches the given exponent classes over one single-parameter
 // measurement line (strictly increasing xs, median values vs) and returns up
 // to topK candidates ordered by ascending cross-validated SMAPE. The
@@ -249,24 +241,23 @@ func Model(set *measurement.Set, opts Options) (Result, error) {
 	if err := set.Validate(); err != nil {
 		return Result{}, err
 	}
-	lines, err := SelectLines(set)
+	p, err := Prepare(set)
 	if err != nil {
 		return Result{}, err
 	}
-	return ModelLines(set, lines, opts)
+	return ModelLines(p, opts)
 }
 
-// ModelLines is Model for a validated set whose lines were already selected
-// by SelectLines, so a caller running several modelers on one set selects
-// its lines once.
-func ModelLines(set *measurement.Set, lines []Line, opts Options) (Result, error) {
-	perParam := make([][]Candidate, len(lines))
-	for l, line := range lines {
+// ModelLines is Model on a prepared set, so a caller running several
+// modelers on one set reduces it once.
+func ModelLines(p *Prepared, opts Options) (Result, error) {
+	perParam := make([][]Candidate, len(p.Lines))
+	for l, line := range p.Lines {
 		cands, err := FitLine(line.Xs, line.Vs, opts.classes(), opts.topK())
 		if err != nil {
 			return Result{}, fmt.Errorf("parameter %d: %w", l, err)
 		}
 		perParam[l] = cands
 	}
-	return Combine(set, perParam)
+	return p.Combine(perParam)
 }

@@ -346,12 +346,13 @@ func TestCombineErrors(t *testing.T) {
 }
 
 // combineAllocCeiling bounds the allocations of one Combine call on the
-// m = 3 fixture below: 127 for set.Medians, one key per distinct structure
-// (136 here), the column cache, one workspace per coefficient count and the
-// improving models come to 429. One allocation per fit would add 136, so a
-// workspace, column cache or key that starts allocating per fit again
-// fails the gate.
-const combineAllocCeiling = 480
+// m = 3 fixture below: 3 for set.Medians (its two slices and one reused
+// scratch), one key per distinct structure (136 here), the column cache,
+// one workspace per coefficient count and the improving models come to 305.
+// One allocation per fit would add 136, and one per point 125, so a
+// workspace, column cache, key or median that starts allocating per fit or
+// per point again fails the gate.
+const combineAllocCeiling = 340
 
 func TestCombineAllocations(t *testing.T) {
 	inst := synth.GenInstance(rand.New(rand.NewSource(9)), synth.TaskSpec{
@@ -365,6 +366,28 @@ func TestCombineAllocations(t *testing.T) {
 	})
 	if allocs > combineAllocCeiling {
 		t.Fatalf("Combine at m = 3 allocates %v times per call, ceiling %d", allocs, combineAllocCeiling)
+	}
+}
+
+// modelAllocCeiling bounds the allocations of one Model call on the same
+// m = 3 fixture (125 points, 25 lines per parameter): Validate's 125 point
+// keys, two strings per candidate line (its Float64bits key and "%g," text)
+// and the lines themselves, the three FitLine searches and Combine's 305
+// come to 732. A key or median taken per point and parameter again adds
+// hundreds.
+const modelAllocCeiling = 760
+
+func TestModelAllocations(t *testing.T) {
+	inst := synth.GenInstance(rand.New(rand.NewSource(9)), synth.TaskSpec{
+		NumParams: 3, PointsPerParam: 5, Reps: 5, NoiseLevel: 0.1, EvalPoints: 1,
+	})
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Model(inst.Set, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > modelAllocCeiling {
+		t.Fatalf("Model at m = 3 allocates %v times per call, ceiling %d", allocs, modelAllocCeiling)
 	}
 }
 
