@@ -4,6 +4,10 @@
 //	perfmodeler -in measurements.json -format json -net network.bin
 //	perfmodeler -in measurements.txt -params 1 -regression-only
 //	perfmodeler -profile campaign.jsonl -server http://localhost:8080
+//	perfmodeler -profile app.json -predict 32768,12,160
+//
+// With -profile every kernel of an application profile is modeled; -predict
+// then adds a column with each kernel's model evaluated at that point.
 //
 // The text format holds one measurement point per line: the parameter
 // values, then one or more repeated measured values. An optional
@@ -28,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"extrapdnn/internal/client"
 	"extrapdnn/internal/cliutil"
@@ -58,7 +63,7 @@ func main() {
 		resume         = flag.Bool("resume", false, "with -profile and -out-jsonl: skip kernels already in the results file and append the rest")
 		verbose        = flag.Bool("v", false, "print adaptation-cache statistics and the run-telemetry digest after modeling")
 		timeout        = flag.Duration("timeout", 0, "overall deadline, e.g. 90s or 5m (0 = none); expiry exits with code 4")
-		predict        = flag.String("predict", "", `comma-separated parameter values to predict after modeling, e.g. "4096,1e6"`)
+		predict        = flag.String("predict", "", `comma-separated parameter values to predict after modeling, e.g. "4096,1e6" (with -profile: per kernel)`)
 		scalingParam   = flag.Int("scaling", 0, "1-based index of the process-count parameter: grade the model's scalability (0 = off)")
 		interval       = flag.Bool("interval", false, "with -predict: bootstrap a 95% prediction interval (regression refits)")
 		jsonOut        = flag.Bool("json", false, "emit the selected model as JSON instead of the text report")
@@ -83,6 +88,9 @@ func main() {
 		predict: *predict, interval: *interval, scalingParam: *scalingParam,
 		jsonOut: *jsonOut, verbose: *verbose,
 		seed: mf.Seed, noSanitize: mf.NoSanitize,
+	}
+	if err := o.check(); err != nil {
+		fatal(err)
 	}
 	var b backend
 	if *serverURL != "" {
@@ -144,6 +152,22 @@ type options struct {
 	verbose      bool
 	seed         int64
 	noSanitize   bool
+}
+
+// check rejects the single-set flags that -profile would silently ignore.
+func (o options) check() error {
+	if o.profilePath == "" {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"-interval", o.interval}, {"-scaling", o.scalingParam != 0}, {"-json", o.jsonOut}} {
+		if f.set {
+			return fmt.Errorf("%s applies to a single measurement set (-in) and cannot be combined with -profile", f.name)
+		}
+	}
+	return nil
 }
 
 // backend is where the modeling runs: in this process or on a modelerd
@@ -394,9 +418,20 @@ func modelProfile(ctx context.Context, b backend, o options) (failed, total int,
 
 	// Pull the first remaining entry before modeling: a fully checkpointed
 	// (or fully filtered) campaign has nothing to model, and the daemon
-	// rightly rejects an entry-less profile.
+	// rightly rejects an entry-less profile. The scanner has then seen an
+	// entry, so its parameter count checks -predict.
 	first, err := src.NextEntry()
-	if err == io.EOF {
+	exhausted := err == io.EOF
+	if err != nil && !exhausted {
+		return 0, 0, err
+	}
+	var point []float64
+	if o.predict != "" {
+		if point, err = cliutil.ParsePoint(o.predict, sc.NumParams()); err != nil {
+			return 0, 0, fmt.Errorf("-predict: %w", err)
+		}
+	}
+	if exhausted {
 		if sink.checkpointed != nil && sink.checkpointed.Skipped() > 0 {
 			fmt.Printf("resumed: %d kernel(s) already in %s, 0 newly modeled\n",
 				sink.checkpointed.Skipped(), o.outJSONL)
@@ -406,12 +441,21 @@ func modelProfile(ctx context.Context, b backend, o options) (failed, total int,
 		// have emptied the source.
 		return 0, 0, fmt.Errorf("no kernel matched %q", o.filter)
 	}
-	if err != nil {
-		return 0, 0, err
-	}
 	src = &prepended{first: &first, rest: src}
+	// Each row's model prints the parameter names of its own entry's set,
+	// and the entries of one profile may name or order them differently.
+	var names sync.Map // [kernel, metric] → that entry's parameter names
+	if point != nil {
+		src = namesTap{src, &names}
+	}
 
-	fmt.Printf("%-22s | %-8s | %-9s | %s\n", "kernel", "noise", "SMAPE", "model")
+	label := "f(" + o.predict + ")"
+	width := max(len(label), 10) // of the f(P) column
+	if point != nil {
+		fmt.Printf("%-22s | %-8s | %-9s | %-*s | %s\n", "kernel", "noise", "SMAPE", width, label, "model")
+	} else {
+		fmt.Printf("%-22s | %-8s | %-9s | %s\n", "kernel", "noise", "SMAPE", "model")
+	}
 	runErr := b.stream(ctx, sc.Application(), sc.ParamNames(), src,
 		func(line cliutil.ResultLine, note string, entryErr error) error {
 			// The JSONL checkpoint write comes first: a line is only printed
@@ -423,13 +467,26 @@ func modelProfile(ctx context.Context, b backend, o options) (failed, total int,
 				}
 			}
 			total++
+			v, _ := names.LoadAndDelete([2]string{line.Kernel, line.Metric})
 			if line.Error != "" {
 				failed++
 				fmt.Printf("%-22s | modeling failed: %s\n", line.Kernel, line.Error)
 				return nil
 			}
-			fmt.Printf("%-22s | %6.2f%% | %8.3f%% | %s%s\n",
-				line.Kernel, line.Noise*100, line.SMAPE, line.Model, note)
+			if point == nil {
+				fmt.Printf("%-22s | %6.2f%% | %8.3f%% | %s%s\n",
+					line.Kernel, line.Noise*100, line.SMAPE, line.Model, note)
+				return nil
+			}
+			// Evaluate the model as the row prints it, so local and -server
+			// tables agree byte for byte.
+			paramNames, _ := v.([]string)
+			model, pErr := pmnf.ParseNamed(line.Model, paramNames)
+			if pErr != nil {
+				return fmt.Errorf("kernel %s: model %q: %w", line.Kernel, line.Model, pErr)
+			}
+			fmt.Printf("%-22s | %6.2f%% | %8.3f%% | %-*.4g | %s%s\n",
+				line.Kernel, line.Noise*100, line.SMAPE, width, model.Eval(point), line.Model, note)
 			return nil
 		})
 	if sink.checkpointed != nil {
@@ -457,6 +514,21 @@ func (p *prepended) NextEntry() (profile.Entry, error) {
 		return e, nil
 	}
 	return p.rest.NextEntry()
+}
+
+// namesTap records the parameter names of every entry it passes on. The
+// backend pulls entries and emits rows on different goroutines.
+type namesTap struct {
+	profile.Source
+	names *sync.Map
+}
+
+func (n namesTap) NextEntry() (profile.Entry, error) {
+	e, err := n.Source.NextEntry()
+	if err == nil {
+		n.names.Store([2]string{e.Kernel, e.Metric}, e.Set.ParamNames)
+	}
+	return e, err
 }
 
 // resultsSink is the open -out-jsonl results/checkpoint stream.

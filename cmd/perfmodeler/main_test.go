@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -41,7 +43,8 @@ func backends(t *testing.T) (backend, backend) {
 }
 
 // writeCampaign writes a five-kernel profile whose last kernel has too few
-// points to model: it passes validation but fails inside the modeler.
+// points to model: it passes validation but fails inside the modeler. One
+// kernel names its parameter n instead of p, as a profile's entries may.
 func writeCampaign(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -55,7 +58,11 @@ func writeCampaign(t *testing.T) string {
 		if k == 4 {
 			xs = xs[:2]
 		}
-		set := &measurement.Set{ParamNames: []string{"p"}, Metric: "time"}
+		name := "p"
+		if k == 2 {
+			name = "n"
+		}
+		set := &measurement.Set{ParamNames: []string{name}, Metric: "time"}
 		for _, x := range xs {
 			vals := make([]float64, 3)
 			for r := range vals {
@@ -104,29 +111,88 @@ func readFile(t *testing.T, path string) string {
 
 // TestLocalAndRemoteCampaignsIdentical pins the -server contract: the same
 // campaign, one failing kernel included, writes byte-identical results files
-// and tables and exits with the same code on either backend.
+// and tables and exits with the same code on either backend. With -predict
+// the tables gain an f(P) column, identical across backends too, and the
+// failing kernel's row stays as it was.
 func TestLocalAndRemoteCampaignsIdentical(t *testing.T) {
 	loc, rem := backends(t)
 	path := writeCampaign(t)
 	dir := t.TempDir()
-	var files, outs [2]string
-	for i, b := range []backend{loc, rem} {
-		files[i] = filepath.Join(dir, fmt.Sprintf("results%d.jsonl", i))
-		code, out := run(t, context.Background(), b, options{profilePath: path, outJSONL: files[i]})
-		if code != cliutil.ExitPartialFailure {
-			t.Fatalf("backend %d: exit code %d, want %d (one kernel fails)", i, code, cliutil.ExitPartialFailure)
+	var failedRow string
+	for _, predict := range []string{"", "128"} {
+		var files, outs [2]string
+		for i, b := range []backend{loc, rem} {
+			files[i] = filepath.Join(dir, fmt.Sprintf("results%d-%s.jsonl", i, predict))
+			code, out := run(t, context.Background(), b, options{profilePath: path, outJSONL: files[i], predict: predict})
+			if code != cliutil.ExitPartialFailure {
+				t.Fatalf("-predict %q, backend %d: exit code %d, want %d (one kernel fails)", predict, i, code, cliutil.ExitPartialFailure)
+			}
+			outs[i] = out
 		}
-		outs[i] = out
+		local, remote := readFile(t, files[0]), readFile(t, files[1])
+		if local != remote {
+			t.Fatalf("-predict %q: results differ:\nlocal:\n%s\nremote:\n%s", predict, local, remote)
+		}
+		if n := strings.Count(local, "\n"); n != 5 || !strings.Contains(local, `"kernel":"kern4","metric":"time","error":`) {
+			t.Fatalf("-predict %q: results file (%d lines) lacks the failed kernel's line:\n%s", predict, n, local)
+		}
+		if outs[0] != outs[1] {
+			t.Fatalf("-predict %q: tables differ:\nlocal:\n%s\nremote:\n%s", predict, outs[0], outs[1])
+		}
+		lines := strings.Split(strings.TrimSpace(outs[0]), "\n")
+		if predict == "" {
+			failedRow = lines[len(lines)-1]
+			continue
+		}
+		if !strings.Contains(lines[1], "| f(128)     | model") {
+			t.Fatalf("-predict table header lacks the f(P) column:\n%s", outs[0])
+		}
+		// kern0 measures 1 + p, so its model predicts about 129 at p = 128.
+		cols := strings.Split(lines[2], "|")
+		if f, err := strconv.ParseFloat(strings.TrimSpace(cols[len(cols)-2]), 64); !strings.HasPrefix(lines[2], "kern0 ") ||
+			len(cols) != 5 || err != nil || math.Abs(f-129) > 13 {
+			t.Fatalf("-predict row lacks f(128) ≈ 129 for kern0:\n%s", outs[0])
+		}
+		if got := lines[len(lines)-1]; got != failedRow || !strings.Contains(got, "modeling failed") {
+			t.Fatalf("failed kernel's row changed under -predict:\n got %q\nwant %q", got, failedRow)
+		}
 	}
-	local, remote := readFile(t, files[0]), readFile(t, files[1])
-	if local != remote {
-		t.Fatalf("results differ:\nlocal:\n%s\nremote:\n%s", local, remote)
-	}
-	if n := strings.Count(local, "\n"); n != 5 || !strings.Contains(local, `"kernel":"kern4","metric":"time","error":`) {
-		t.Fatalf("results file (%d lines) lacks the failed kernel's line:\n%s", n, local)
-	}
-	if outs[0] != outs[1] {
-		t.Fatalf("tables differ:\nlocal:\n%s\nremote:\n%s", outs[0], outs[1])
+}
+
+// noStream fails the test if a campaign reaches its backend.
+type noStream struct {
+	backend
+	t *testing.T
+}
+
+func (n noStream) stream(context.Context, string, []string, profile.Source,
+	func(cliutil.ResultLine, string, error) error) error {
+	n.t.Error("the campaign reached the backend")
+	return nil
+}
+
+// TestProfileRejectsSingleSetFlags checks that -profile refuses the flags
+// that only the single-set mode reads instead of ignoring them.
+func TestProfileRejectsSingleSetFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    options
+		ok   bool
+	}{
+		{"profile", options{profilePath: "p.jsonl"}, true},
+		{"profile -predict", options{profilePath: "p.jsonl", predict: "4"}, true},
+		{"profile -interval", options{profilePath: "p.jsonl", predict: "4", interval: true}, false},
+		{"profile -scaling", options{profilePath: "p.jsonl", scalingParam: 1}, false},
+		{"profile -json", options{profilePath: "p.jsonl", jsonOut: true}, false},
+		{"set -interval -scaling -json", options{predict: "4", interval: true, scalingParam: 1, jsonOut: true}, true},
+	} {
+		err := tc.o.check()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: check() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil && (strings.Contains(err.Error(), "\n") || cliutil.ExitCode(err) != cliutil.ExitFatal) {
+			t.Errorf("%s: %q is not a one-line fatal error", tc.name, err)
+		}
 	}
 }
 
@@ -191,8 +257,9 @@ func TestCancelledLocalCampaignResumesRemotely(t *testing.T) {
 
 // TestCampaignExitCodesMatchAcrossBackends pins the exit-code tail both
 // backends share: a fully checkpointed campaign has nothing to do (0), and a
-// -kernel that matches nothing is fatal (1). Partial failure (3) is covered
-// by TestLocalAndRemoteCampaignsIdentical.
+// -kernel that matches nothing or a -predict point of the wrong arity is
+// fatal (1), the latter before any kernel reaches the backend. Partial
+// failure (3) is covered by TestLocalAndRemoteCampaignsIdentical.
 func TestCampaignExitCodesMatchAcrossBackends(t *testing.T) {
 	loc, rem := backends(t)
 	path := writeCampaign(t)
@@ -210,6 +277,10 @@ func TestCampaignExitCodesMatchAcrossBackends(t *testing.T) {
 		}
 		if code, _ := run(t, context.Background(), b, options{profilePath: path, filter: "nope"}); code != cliutil.ExitFatal {
 			t.Errorf("%s, -kernel matching nothing: exit code %d, want %d", name, code, cliutil.ExitFatal)
+		}
+		code, out = run(t, context.Background(), noStream{b, t}, options{profilePath: path, predict: "128,2"})
+		if code != cliutil.ExitFatal || strings.Contains(out, "kern0") {
+			t.Errorf("%s, -predict of the wrong arity: exit code %d, want %d with no kernel row; output:\n%s", name, code, cliutil.ExitFatal, out)
 		}
 	}
 }

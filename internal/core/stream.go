@@ -12,10 +12,10 @@ import (
 // ModelStream is the campaign loop: it models every entry src yields through
 // parallel.Stream under cfg (bounded workers and in-flight window, input or
 // completion order) and hands each outcome to emit. The library's
-// ModelProfileStream, perfmodeler, modeleval and the daemon's /v1/profile all
-// run their campaigns through it, so each run records the same spans: one
-// profile.run (workers, entries) and per entry one profile.entry (kernel,
-// metric, error on failure) as the parent of core.model.
+// ModelProfileStream, perfmodeler and the daemon's /v1/profile all run their
+// campaigns through it, so each run records the same spans: one profile.run
+// (workers, entries) and per entry one profile.entry (kernel, metric, error
+// on failure) as the parent of core.model.
 //
 // Per-entry failures, panics included, reach emit with err set and do not
 // stop the stream. The stream stops when ctx is done (ctx's error is

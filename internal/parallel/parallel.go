@@ -95,16 +95,6 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// Map runs fn(i) for every i in [0, n) with bounded concurrency and collects
-// the results in order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, workers, func(i int) {
-		out[i] = fn(i)
-	})
-	return out
-}
-
 // MapErrCtx runs fn(i) for every i in [0, n) with bounded concurrency and
 // collects the results and errors in index order. Each item's error is
 // captured independently — one failing item never hides the results of the

@@ -69,21 +69,6 @@ func TestRunCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestMapOrdered(t *testing.T) {
-	got := Map(6, 3, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map result = %v", got)
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	if len(Map(0, 2, func(i int) int { return i })) != 0 {
-		t.Fatal("empty Map should give empty slice")
-	}
-}
-
 func TestMapErrOrderedAndIndependent(t *testing.T) {
 	wantErr := errors.New("item failed")
 	for _, workers := range []int{1, 4} {

@@ -18,7 +18,15 @@ import (
 // decimals, or fractions in parentheses. The first term may omit the
 // constant (a model "2*x1" has constant 0). Whitespace is ignored.
 func Parse(s string) (Model, error) {
-	p := &parser{input: s}
+	return ParseNamed(s, nil)
+}
+
+// ParseNamed is Parse for a model printed with display names, as Model.String
+// renders one whose ParamNames are set: parameter l may be written names[l]
+// as well as x{l+1}. The model keeps the names and has at least len(names)
+// parameters.
+func ParseNamed(s string, names []string) (Model, error) {
+	p := &parser{input: s, names: names}
 	model, err := p.parse()
 	if err != nil {
 		return Model{}, fmt.Errorf("pmnf: parse %q: %w", s, err)
@@ -29,6 +37,7 @@ func Parse(s string) (Model, error) {
 type parser struct {
 	input string
 	pos   int
+	names []string // display names of the parameters, by index
 }
 
 // parsedTerm is one summand before the parameter count is known.
@@ -70,7 +79,7 @@ func (p *parser) parse() (Model, error) {
 	}
 
 	// Infer the parameter count.
-	maxParam := 0
+	maxParam := len(p.names)
 	for _, t := range terms {
 		for idx := range t.factors {
 			if idx+1 > maxParam {
@@ -81,6 +90,7 @@ func (p *parser) parse() (Model, error) {
 
 	var model Model
 	model.ParamNames = make([]string, maxParam)
+	copy(model.ParamNames, p.names)
 	for _, t := range terms {
 		if len(t.factors) == 0 {
 			model.Constant += t.coefficient
@@ -155,7 +165,7 @@ func (p *parser) parseFactor(t *parsedTerm) error {
 		e.J += j
 		t.factors[idx] = e
 		return nil
-	case p.hasPrefix("x"):
+	case p.hasPrefix("x") || p.nameAt() >= 0:
 		idx, err := p.parseParamRef()
 		if err != nil {
 			return err
@@ -181,9 +191,13 @@ func (p *parser) parseFactor(t *parsedTerm) error {
 	}
 }
 
-// parseParamRef reads "xN" and returns N-1.
+// parseParamRef reads a parameter name or "xN" and returns its index.
 func (p *parser) parseParamRef() (int, error) {
 	p.skipSpace()
+	if l := p.nameAt(); l >= 0 {
+		p.pos += len(p.names[l])
+		return l, nil
+	}
 	if p.eof() || p.peek() != 'x' {
 		return 0, fmt.Errorf("expected parameter reference at offset %d", p.pos)
 	}
@@ -269,6 +283,18 @@ func (p *parser) parseNumber() (float64, error) {
 		return 0, fmt.Errorf("invalid number %q: %w", p.input[start:p.pos], err)
 	}
 	return v, nil
+}
+
+// nameAt returns the index of the longest parameter name at the current
+// position, or -1.
+func (p *parser) nameAt() int {
+	idx := -1
+	for l, name := range p.names {
+		if name != "" && p.hasPrefix(name) && (idx < 0 || len(name) > len(p.names[idx])) {
+			idx = l
+		}
+	}
+	return idx
 }
 
 func (p *parser) skipSpace() {

@@ -88,10 +88,25 @@ func TestParseErrors(t *testing.T) {
 // Property: String → Parse round-trips the model semantics (evaluations
 // agree) for models with default parameter names.
 func TestParseStringRoundTrip(t *testing.T) {
+	checkRoundTrip(t, nil)
+}
+
+// Property: String → ParseNamed round-trips models whose parameters carry
+// display names, one of them a prefix of another.
+func TestParseNamedRoundTrip(t *testing.T) {
+	checkRoundTrip(t, []string{"p", "procs", "size"})
+}
+
+// checkRoundTrip checks the String → Parse property on random models
+// printed with the given names (nil keeps x1..xm).
+func checkRoundTrip(t *testing.T, names []string) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomModel(rng)
-		parsed, err := Parse(m.String())
+		if names != nil {
+			m.ParamNames = names[:m.NumParams()]
+		}
+		parsed, err := ParseNamed(m.String(), m.ParamNames)
 		if err != nil {
 			return false
 		}

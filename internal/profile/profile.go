@@ -38,18 +38,13 @@ type Profile struct {
 // least one entry, valid measurement sets, unique (kernel, metric) pairs,
 // and a consistent parameter count.
 func (p *Profile) Validate() error {
-	return p.validate(nil)
-}
-
-// validate is Validate with an optional per-entry repair pass.
-func (p *Profile) validate(sanitize func(*Entry)) error {
 	if p.Application == "" {
 		return fmt.Errorf("profile: application name is empty")
 	}
 	if len(p.Entries) == 0 {
 		return fmt.Errorf("profile: no entries")
 	}
-	c := entryCheck{sanitize: sanitize, seen: map[string]bool{}}
+	c := entryCheck{seen: map[string]bool{}}
 	for i := range p.Entries {
 		if err := c.check(i, &p.Entries[i]); err != nil {
 			return err
@@ -128,40 +123,23 @@ func (p *Profile) Write(w io.Writer) error {
 	return nil
 }
 
-// Read parses, sanitizes and validates a profile in either format: the
-// single-object array format (Profile.Write) or the JSONL stream format
-// (Writer, appsim -jsonl). Each entry's measurement set passes through the
-// same default repair pass as the single-set readers
-// (NaN/Inf/non-positive/duplicate points); use ReadWith to disable it or to
-// observe the per-entry reports.
+// Read parses, sanitizes and validates a whole profile in either format by
+// draining a Scanner (NewScanner): the single-object array format
+// (Profile.Write) or the JSONL stream format (Writer, appsim -jsonl). Each
+// entry's measurement set passes through the same default repair pass as
+// the single-set readers (NaN/Inf/non-positive/duplicate points); use
+// NewScannerWith to disable it or to observe the per-entry reports.
 func Read(r io.Reader) (*Profile, error) {
-	return ReadWith(r, ReadOptions{})
-}
-
-// ReadWith is Read with explicit options, threading the measurement-set
-// sanitization config through every entry: sanitization runs before
-// validation (so a set repaired to emptiness still fails, matching
-// measurement.ReadJSONWith), and OnSanitize observes each entry that needed
-// repair. A first object without entries is a JSONL header that the entries
-// follow. Unlike the Scanner, ReadWith accepts an array-format application
-// name after the entries. For O(1)-memory scanning use NewScannerWith.
-func ReadWith(r io.Reader, opts ReadOptions) (*Profile, error) {
-	var p Profile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("profile: decode: %w", err)
-	}
-	if len(p.Entries) == 0 {
-		for dec.More() {
-			var e Entry
-			if err := dec.Decode(&e); err != nil {
-				return nil, fmt.Errorf("profile: decode entry %d: %w", len(p.Entries), err)
-			}
-			p.Entries = append(p.Entries, e)
-		}
-	}
-	if err := p.validate(opts.sanitizer()); err != nil {
+	sc, err := NewScanner(r)
+	if err != nil {
 		return nil, err
 	}
-	return &p, nil
+	p := &Profile{Application: sc.Application(), ParamNames: sc.ParamNames()}
+	for sc.Scan() {
+		p.Entries = append(p.Entries, sc.Entry())
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

@@ -102,10 +102,10 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBothFormats loads one profile from the array format and from the
-// JSONL stream format, with one dirty entry: both decode to the same
-// profile and report the same repair. An array file may also name its
-// application after the entries, which the Scanner rejects.
+// TestReadBothFormats scans one profile from the array format and from the
+// JSONL stream format, with one dirty entry: both decode to the same entries
+// and report the same repair, and Read returns them too. An array file that
+// names its application after the entries is rejected by every reader.
 func TestReadBothFormats(t *testing.T) {
 	p := validProfile()
 	p.Entries[1].Set.Data = append(p.Entries[1].Set.Data, measurement.Measurement{
@@ -118,10 +118,10 @@ func TestReadBothFormats(t *testing.T) {
 	if err := p.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
-	read := func(name string, data []byte) (*Profile, []string) {
+	scan := func(name string, data []byte) (*Profile, []string) {
 		t.Helper()
 		var repairs []string
-		got, err := ReadWith(bytes.NewReader(data), ReadOptions{
+		s, err := NewScannerWith(bytes.NewReader(data), ReadOptions{
 			OnSanitize: func(e *Entry, rep measurement.SanitizeReport) {
 				repairs = append(repairs, e.Kernel+": "+rep.String())
 			},
@@ -129,17 +129,28 @@ func TestReadBothFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		got := &Profile{Application: s.Application(), ParamNames: s.ParamNames(), Entries: scanAll(t, s)}
+		read, err := Read(bytes.NewReader(data))
+		if err != nil || !reflect.DeepEqual(read, got) {
+			t.Fatalf("%s: Read = %+v, %v; the Scanner gave %+v", name, read, err, got)
+		}
 		return got, repairs
 	}
-	fromArray, arrayRepairs := read("array", array.Bytes())
-	fromJSONL, jsonlRepairs := read("jsonl", jsonl.Bytes())
+	fromArray, arrayRepairs := scan("array", array.Bytes())
+	fromJSONL, jsonlRepairs := scan("jsonl", jsonl.Bytes())
 	if !reflect.DeepEqual(fromArray, fromJSONL) || !reflect.DeepEqual(arrayRepairs, jsonlRepairs) {
 		t.Fatalf("array %+v %v and JSONL %+v %v differ", fromArray, arrayRepairs, fromJSONL, jsonlRepairs)
 	}
 	if len(fromJSONL.Entries) != 3 || fromJSONL.Application != "demo" || len(jsonlRepairs) != 1 {
 		t.Fatalf("JSONL read = %+v, repairs %v", fromJSONL, jsonlRepairs)
 	}
-	if _, err := ReadWith(bytes.NewReader(jsonl.Bytes()), ReadOptions{Read: measurement.ReadConfig{NoSanitize: true}}); err == nil {
+	s, err := NewScannerWith(bytes.NewReader(jsonl.Bytes()), ReadOptions{Read: measurement.ReadConfig{NoSanitize: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Scan() {
+	}
+	if s.Err() == nil {
 		t.Fatal("NoSanitize must surface the duplicate point in a JSONL profile")
 	}
 
@@ -148,12 +159,11 @@ func TestReadBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	late := `{"entries":` + string(entries) + `,"application":"demo"}`
-	got, err := Read(strings.NewReader(late))
-	if err != nil || got.Application != "demo" || len(got.Entries) != 3 {
-		t.Fatalf("application after entries: %+v, %v", got, err)
+	if got, err := Read(strings.NewReader(late)); err == nil {
+		t.Fatalf("Read accepted an application after the entries: %+v", got)
 	}
 	if _, err := NewScanner(strings.NewReader(late)); err == nil {
-		t.Fatal("the Scanner needs the application before the entries")
+		t.Fatal("the Scanner accepted an application after the entries")
 	}
 }
 

@@ -195,18 +195,17 @@ func TestScannerSanitizeThreading(t *testing.T) {
 		t.Fatal("NoSanitize must surface the duplicate point as a validation error")
 	}
 
-	// Read (whole-profile, legacy array format) applies the same default
-	// repair.
+	// The legacy array format gets the same default repair.
 	var legacy bytes.Buffer
 	if err := p.Write(&legacy); err != nil {
 		t.Fatal(err)
 	}
-	prof, err := ReadWith(&legacy, ReadOptions{})
+	s, err = NewScannerWith(&legacy, ReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := prof.Entries[0].Set.Data; len(d) != 5 || len(d[0].Values) != 3 {
-		t.Fatalf("ReadWith did not sanitize: %d points", len(d))
+	if d := scanAll(t, s)[0].Set.Data; len(d) != 5 || len(d[0].Values) != 3 {
+		t.Fatalf("array format not sanitized: %d points", len(d))
 	}
 }
 

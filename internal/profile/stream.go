@@ -15,9 +15,9 @@ import (
 	"extrapdnn/internal/measurement"
 )
 
-// ReadOptions tunes profile reading (Read, ReadWith and the Scanner): the
-// measurement-set sanitization config shared with the single-set readers,
-// and an optional per-entry sanitization callback.
+// ReadOptions tunes a Scanner (NewScannerWith): the measurement-set
+// sanitization config shared with the single-set readers, and an optional
+// per-entry sanitization callback.
 type ReadOptions struct {
 	// Read configures the per-entry measurement sanitization exactly like the
 	// single-set reader family (measurement.ReadJSONWith etc.): the zero
@@ -97,8 +97,8 @@ func NewScannerWith(r io.Reader, opts ReadOptions) (*Scanner, error) {
 // readHeader consumes the opening object up to (and including) either its
 // closing brace (JSONL mode) or the opening bracket of its "entries" array
 // (legacy array mode), capturing application and param_names on the way.
-// Streaming requires those fields to precede the entries, which is the order
-// Profile.Write and Writer emit.
+// Every profile reader requires those fields to precede the entries, which is
+// the order Profile.Write and Writer emit.
 func (s *Scanner) readHeader() error {
 	tok, err := s.dec.Token()
 	if err != nil {
@@ -142,7 +142,7 @@ func (s *Scanner) readHeader() error {
 		}
 	}
 	if s.app == "" {
-		return fmt.Errorf("profile: application name is empty (it must precede the entries when streaming)")
+		return fmt.Errorf("profile: application name is empty (it must precede the entries)")
 	}
 	return nil
 }

@@ -34,8 +34,8 @@ go test ./...
 echo "==> bench module (own go.mod, so ./... above does not build it): go vet + go test"
 (cd bench && go vet ./... && go test ./...)
 
-echo "==> go test -race -short (root, mat, nn, parallel, dnnmodel, core, synth, adaptcache, measurement, obs)"
-go test -race -short . ./internal/mat/... ./internal/nn/... ./internal/parallel/... ./internal/dnnmodel/... ./internal/core/... ./internal/synth/... ./internal/adaptcache/... ./internal/measurement/... ./internal/obs/...
+echo "==> go test -race -short (root, mat, nn, parallel, dnnmodel, core, synth, adaptcache, measurement, obs, perfmodeler)"
+go test -race -short . ./internal/mat/... ./internal/nn/... ./internal/parallel/... ./internal/dnnmodel/... ./internal/core/... ./internal/synth/... ./internal/adaptcache/... ./internal/measurement/... ./internal/obs/... ./cmd/perfmodeler/
 
 echo "==> go test -race -tags faultinject (injected divergence, DNN failure, kernel panic)"
 go test -race -tags faultinject . ./internal/nn/... ./internal/core/... ./internal/faultinject/...
