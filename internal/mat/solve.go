@@ -22,27 +22,96 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	return NewLeastSquaresWorkspace(a.rows, a.cols).Solve(a, b)
 }
 
+// Norm returns the Euclidean norm of x, accumulated with math.Hypot.
+func Norm(x []float64) float64 {
+	norm := 0.0
+	for _, v := range x {
+		norm = math.Hypot(norm, v)
+	}
+	return norm
+}
+
+// Reflector is a Householder reflector H = I - 2 v vᵀ / (vᵀ v) of step k:
+// applied to a column it zeroes nothing above row k and, for the column it
+// was built from, everything below it.
+type Reflector struct {
+	k  int
+	v  []float64 // v[k:] is the Householder vector
+	vv float64   // vᵀ v
+}
+
+// NewReflector returns a reflector for columns of length rows.
+func NewReflector(rows int) *Reflector {
+	return &Reflector{v: make([]float64, rows)}
+}
+
+// Reduce makes h the reflector that maps x[k:] onto a multiple of the k-th
+// unit vector. It reports false when x[k:] is zero, so no reflector exists.
+func (h *Reflector) Reduce(x []float64, k int) bool {
+	norm := Norm(x[k:])
+	if norm == 0 {
+		return false
+	}
+	alpha := -math.Copysign(norm, x[k])
+	v, vv := h.v, 0.0
+	for i := k; i < len(x); i++ {
+		v[i] = x[i]
+		if i == k {
+			v[i] -= alpha
+		}
+		vv += v[i] * v[i]
+	}
+	if vv == 0 {
+		return false
+	}
+	h.k, h.vv = k, vv
+	return true
+}
+
+// Apply overwrites x with H x.
+func (h *Reflector) Apply(x []float64) {
+	v := h.v
+	dot := 0.0
+	for i := h.k; i < len(x); i++ {
+		dot += v[i] * x[i]
+	}
+	f := 2 * dot / h.vv
+	for i := h.k; i < len(x); i++ {
+		x[i] -= f * v[i]
+	}
+}
+
 // LeastSquaresWorkspace holds the scratch of a rows×cols least-squares
-// solve, so repeated solves of that shape allocate nothing.
+// solve, so repeated solves of that shape allocate nothing. Its matrices are
+// stored by column: column j of an m-row matrix is data[j*m : (j+1)*m].
 type LeastSquaresWorkspace struct {
-	eq       *Matrix   // column-equilibrated copy of A
-	r        *Matrix   // copy of eq, reduced to R in place
-	y        []float64 // copy of b, reduced to Q^T b in place
-	colScale []float64 // column norms of A
-	v        []float64 // Householder vector
-	x        []float64 // solution
+	m, n  int
+	eq    [][]float64 // column-equilibrated copy of A, by column
+	r     [][]float64 // the design being reduced to R in place, by column
+	y     []float64   // copy of b, reduced to Qᵀ b in place
+	scale []float64   // column norms of A
+	h     *Reflector
+	x     []float64 // solution
 }
 
 // NewLeastSquaresWorkspace returns a workspace for rows×cols systems.
 func NewLeastSquaresWorkspace(rows, cols int) *LeastSquaresWorkspace {
-	return &LeastSquaresWorkspace{
-		eq:       New(rows, cols),
-		r:        New(rows, cols),
-		y:        make([]float64, rows),
-		colScale: make([]float64, cols),
-		v:        make([]float64, rows),
-		x:        make([]float64, cols),
+	data := make([]float64, 2*rows*cols)
+	w := &LeastSquaresWorkspace{
+		m:     rows,
+		n:     cols,
+		eq:    make([][]float64, cols),
+		r:     make([][]float64, cols),
+		y:     make([]float64, rows),
+		scale: make([]float64, cols),
+		h:     NewReflector(rows),
+		x:     make([]float64, cols),
 	}
+	for j := 0; j < cols; j++ {
+		w.eq[j] = data[j*rows : (j+1)*rows]
+		w.r[j] = data[(cols+j)*rows : (cols+j+1)*rows]
+	}
+	return w
 }
 
 // Solve is LeastSquares on the workspace's buffers. A must have the
@@ -55,99 +124,78 @@ func (w *LeastSquaresWorkspace) Solve(a *Matrix, b []float64) ([]float64, error)
 	if a.rows < a.cols {
 		return nil, fmt.Errorf("mat: LeastSquares underdetermined: %dx%d", a.rows, a.cols)
 	}
-	if a.rows != w.r.rows || a.cols != w.r.cols {
+	if a.rows != w.m || a.cols != w.n {
 		return nil, fmt.Errorf("mat: LeastSquares workspace is %dx%d, system is %dx%d",
-			w.r.rows, w.r.cols, a.rows, a.cols)
+			w.m, w.n, a.rows, a.cols)
 	}
-	m, n := a.rows, a.cols
-	eq, r, y, colScale, v, x := w.eq, w.r, w.y, w.colScale, w.v, w.x
-	copy(eq.data, a.data)
-	copy(y, b)
-
 	// Column equilibration: PMNF design matrices mix an intercept column of
 	// ones with term columns spanning many orders of magnitude. Scaling each
 	// column to unit norm makes the rank test meaningful and the solve
 	// accurate; the solution is unscaled at the end.
-	for j := 0; j < n; j++ {
-		norm := 0.0
-		for i := 0; i < m; i++ {
-			norm = math.Hypot(norm, eq.data[i*n+j])
+	for j, col := range w.eq {
+		for i := range col {
+			col[i] = a.data[i*a.cols+j]
 		}
+		norm := Norm(col)
 		if norm == 0 {
 			return nil, ErrSingular
 		}
-		colScale[j] = norm
-		for i := 0; i < m; i++ {
-			eq.data[i*n+j] /= norm
+		w.scale[j] = norm
+		for i := range col {
+			col[i] /= norm
 		}
 	}
-	copy(r.data, eq.data)
+	return w.SolveFrom(0, w.eq, w.scale, b)
+}
+
+// SolveFrom finishes a least-squares solve whose first k Householder steps
+// were taken elsewhere: cols are the columns of the equilibrated design and
+// y the right-hand side, both already multiplied by those k reflectors, and
+// scale holds the norms that equilibrated the columns. A caller fitting many
+// designs that share their leading columns takes those steps once for all
+// of them. SolveFrom copies its inputs, which must have the workspace's
+// shape; Solve is SolveFrom(0, …) on the equilibrated A. The returned slice
+// belongs to the workspace.
+func (w *LeastSquaresWorkspace) SolveFrom(k int, cols [][]float64, scale, y []float64) ([]float64, error) {
+	n, r, x := w.n, w.r, w.x
+	for j, col := range cols {
+		copy(r[j], col)
+	}
+	copy(w.y, y)
 
 	// Householder QR: for each column k build the reflector that zeroes the
 	// subdiagonal, apply it to the trailing columns and to the rhs.
-	for k := 0; k < n; k++ {
-		// Column norm below the diagonal.
-		norm := 0.0
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, r.data[i*n+k])
-		}
-		if norm == 0 {
+	for ; k < n; k++ {
+		if !w.h.Reduce(r[k], k) {
 			return nil, ErrSingular
 		}
-		alpha := -math.Copysign(norm, r.data[k*n+k])
-		vnorm2 := 0.0
-		for i := k; i < m; i++ {
-			v[i] = r.data[i*n+k]
-			if i == k {
-				v[i] -= alpha
-			}
-			vnorm2 += v[i] * v[i]
-		}
-		if vnorm2 == 0 {
-			return nil, ErrSingular
-		}
-		// Apply H = I - 2 v v^T / (v^T v) to R[k:, k:] and y[k:].
 		for j := k; j < n; j++ {
-			dot := 0.0
-			for i := k; i < m; i++ {
-				dot += v[i] * r.data[i*n+j]
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				r.data[i*n+j] -= f * v[i]
-			}
+			w.h.Apply(r[j])
 		}
-		dot := 0.0
-		for i := k; i < m; i++ {
-			dot += v[i] * y[i]
-		}
-		f := 2 * dot / vnorm2
-		for i := k; i < m; i++ {
-			y[i] -= f * v[i]
-		}
+		w.h.Apply(w.y)
 	}
 
 	// Back substitution on the upper-triangular n×n block. A diagonal entry
 	// tiny relative to the largest one signals numerical rank deficiency.
 	maxDiag := 0.0
 	for i := 0; i < n; i++ {
-		if d := math.Abs(r.data[i*n+i]); d > maxDiag {
+		if d := math.Abs(r[i][i]); d > maxDiag {
 			maxDiag = d
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
+		s := w.y[i]
 		for j := i + 1; j < n; j++ {
-			s -= r.data[i*n+j] * x[j]
+			s -= r[j][i] * x[j]
 		}
-		d := r.data[i*n+i]
+		d := r[i][i]
 		if math.Abs(d) <= 1e-12*maxDiag {
 			return nil, ErrSingular
 		}
 		x[i] = s / d
 	}
 	for i := range x {
-		x[i] /= colScale[i]
+		x[i] /= scale[i]
 		if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
 			return nil, ErrSingular
 		}
@@ -155,11 +203,10 @@ func (w *LeastSquaresWorkspace) Solve(a *Matrix, b []float64) ([]float64, error)
 	return x, nil
 }
 
-// Equilibrated returns the copy of A from the last successful Solve with
-// each column scaled to unit Euclidean norm (accumulated with math.Hypot,
-// then divided). It belongs to the workspace and is overwritten by the next
-// Solve.
-func (w *LeastSquaresWorkspace) Equilibrated() *Matrix { return w.eq }
+// Equilibrated returns the columns of A from the last successful Solve, each
+// scaled to unit Euclidean norm by Norm. They belong to the workspace and are
+// overwritten by the next Solve.
+func (w *LeastSquaresWorkspace) Equilibrated() [][]float64 { return w.eq }
 
 // SolveCholesky solves the symmetric positive-definite system A x = b via
 // Cholesky factorization. It is used for normal-equation solves where the

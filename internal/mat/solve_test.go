@@ -130,8 +130,8 @@ func TestLeastSquaresWorkspaceReuse(t *testing.T) {
 		for j := 0; j < n; j++ {
 			ss := 0.0
 			for i := 0; i < m; i++ {
-				ss += eq.At(i, j) * eq.At(i, j)
-				if math.Signbit(eq.At(i, j)) != math.Signbit(a.At(i, j)) {
+				ss += eq[j][i] * eq[j][i]
+				if math.Signbit(eq[j][i]) != math.Signbit(a.At(i, j)) {
 					t.Fatalf("trial %d: equilibration flipped a sign", trial)
 				}
 			}

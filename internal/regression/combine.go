@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 
+	"extrapdnn/internal/mat"
 	"extrapdnn/internal/measurement"
 	"extrapdnn/internal/pmnf"
 	"extrapdnn/internal/stats"
@@ -98,7 +99,14 @@ type combiner struct {
 	sel      []int // selected candidate index per parameter
 	// cols[l][c][i] is perParam[l][c].Exps.Eval(points[i][l]), evaluated
 	// once per call; nil for constant candidates.
-	cols   [][][]float64
+	cols [][][]float64
+	// A term's design column is identified by a mixed-radix number, the
+	// sum of place[l][sel[l]] over the parameters l of its block. Parameter
+	// l's digit is 0 for a constant candidate and otherwise the candidate's
+	// 1-based rank among l's non-constant ones, so terms whose non-constant
+	// factors agree share the number and the column; 0 is the intercept.
+	place  [][]int
+	design *designColumns
 	ws     []*fitWorkspace // by coefficient count, created on first use
 	seen   map[string]struct{}
 	parts  []byte   // key part of each term of the current structure
@@ -122,24 +130,139 @@ func newCombiner(points []measurement.Point, values []float64, perParam [][]Cand
 		perParam: perParam,
 		sel:      make([]int, m),
 		cols:     make([][][]float64, m),
+		place:    make([][]int, m),
 		ws:       make([]*fitWorkspace, m+2),
 		seen:     make(map[string]struct{}, 1+tries),
 		best:     Result{SMAPE: math.Inf(1)},
 	}
+	candidates := 0
+	for _, cands := range perParam {
+		candidates += len(cands)
+	}
+	places := make([]int, candidates)
+	columns := 1
 	for l, cands := range perParam {
 		c.cols[l] = make([][]float64, len(cands))
+		c.place[l], places = places[:len(cands):len(cands)], places[len(cands):]
+		d := 0
 		for k, cand := range cands {
 			if cand.Exps.IsConstant() {
 				continue
 			}
+			d++
+			c.place[l][k] = d * columns
 			col := make([]float64, n)
 			for i, pt := range points {
 				col[i] = cand.Exps.Eval(pt[l])
 			}
 			c.cols[l][k] = col
 		}
+		columns *= d + 1
 	}
+	c.design = newDesignColumns(n, columns, values)
 	return c
+}
+
+// designColumns is the store of the distinct design columns of one Combine
+// call, each built on first use and shared by every structure that has it.
+// For column id it keeps the raw column, its norm (the equilibration
+// scale), the equilibrated column and that column reduced by the first
+// Householder step of the QR. That step depends only on the intercept,
+// which every structure has as its first column, so it is built once per
+// call and applied once per column and once to the values.
+type designColumns struct {
+	raw, eq, reduced [][]float64 // by id; raw[id] == nil until built
+	norm             []float64   // 0: the column is zero and fits nothing
+	arena            []float64   // unused storage for columns still to be built
+	h                *mat.Reflector
+	y                []float64 // the values reduced by h
+}
+
+// newDesignColumns allocates room for n-point columns with ids below
+// columns and builds the intercept, id 0.
+func newDesignColumns(n, columns int, values []float64) *designColumns {
+	views := make([][]float64, 3*columns)
+	arena := make([]float64, columns+(3*columns+1)*n)
+	d := &designColumns{
+		raw:     views[:columns:columns],
+		eq:      views[columns : 2*columns : 2*columns],
+		reduced: views[2*columns:],
+		norm:    arena[:columns:columns],
+		y:       arena[columns : columns+n : columns+n],
+		arena:   arena[columns+n:],
+		h:       mat.NewReflector(n),
+	}
+	ones := d.alloc(0, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	// The intercept's norm is positive, so its reflector exists.
+	d.finish(0)
+	d.h.Reduce(d.eq[0], 0)
+	d.h.Apply(d.reduced[0])
+	copy(d.y, values)
+	d.h.Apply(d.y)
+	return d
+}
+
+// alloc takes the storage of column id from the arena and returns its raw
+// column for the caller to fill.
+func (d *designColumns) alloc(id, n int) []float64 {
+	a := d.arena
+	d.raw[id], d.eq[id], d.reduced[id] = a[:n:n], a[n:2*n:2*n], a[2*n:3*n:3*n]
+	d.arena = a[3*n:]
+	return d.raw[id]
+}
+
+// finish equilibrates the filled raw column id the way
+// mat.LeastSquaresWorkspace.Solve does and, once the intercept's reflector
+// exists, reduces it.
+func (d *designColumns) finish(id int) {
+	raw, eq := d.raw[id], d.eq[id]
+	norm := mat.Norm(raw)
+	d.norm[id] = norm
+	if norm == 0 {
+		return
+	}
+	for i, v := range raw {
+		eq[i] = v / norm
+	}
+	copy(d.reduced[id], eq)
+	if id > 0 {
+		d.h.Apply(d.reduced[id])
+	}
+}
+
+// column returns the id of the design column of a term, building the
+// column on first use: the elementwise product of the term's non-constant
+// factors in ascending parameter order, starting from the first factor (the
+// same products as accumulating from 1.0, since 1.0*x == x).
+func (c *combiner) column(block []int) int {
+	id := 0
+	for _, l := range block {
+		id += c.place[l][c.sel[l]]
+	}
+	d := c.design
+	if d.raw[id] != nil {
+		return id
+	}
+	col := d.alloc(id, c.n)
+	started := false
+	for _, l := range block {
+		f := c.cols[l][c.sel[l]]
+		switch {
+		case f == nil:
+		case !started:
+			copy(col, f)
+			started = true
+		default:
+			for i, v := range f {
+				col[i] *= v
+			}
+		}
+	}
+	d.finish(id)
+	return id
 }
 
 // try fits a structure not tried before (in any term order) and keeps it
@@ -176,36 +299,30 @@ func (c *combiner) fitTerms(terms [][]int) (coef []float64, smape float64, ok bo
 		ws = newFitWorkspace(n, p)
 		c.ws[p] = ws
 	}
-	// Each term column is the elementwise product of its non-constant
-	// factors in ascending parameter order, starting from the first factor:
-	// the same products as accumulating from 1.0, since 1.0*x == x.
-	a := ws.a.Data()
-	for i := 0; i < n; i++ {
-		a[i*p] = 1
-	}
-	for t, block := range terms {
-		started := false
-		for _, l := range block {
-			col := c.cols[l][c.sel[l]]
-			switch {
-			case col == nil:
-			case !started:
-				for i, v := range col {
-					a[i*p+t+1] = v
-				}
-				started = true
-			default:
-				for i, v := range col {
-					a[i*p+t+1] *= v
-				}
-			}
+	d := c.design
+	for j := 0; j < p; j++ {
+		id := 0
+		if j > 0 {
+			id = c.column(terms[j-1])
 		}
+		if d.norm[id] == 0 {
+			return nil, 0, false
+		}
+		ws.raw[j], ws.eq[j], ws.reduced[j], ws.scale[j] = d.raw[id], d.eq[id], d.reduced[id], d.norm[id]
 	}
-	coef, err := ws.ls.Solve(ws.a, c.values)
+	coef, err := ws.ls.SolveFrom(1, ws.reduced, ws.scale, d.y)
 	if err != nil {
 		return nil, 0, false
 	}
-	if err := ws.looPredictions(c.values, coef); err != nil {
+	// The in-sample predictions, in mat.MulVecTo's order.
+	for i := range ws.fits {
+		s := 0.0
+		for j, col := range ws.raw {
+			s += col[i] * coef[j]
+		}
+		ws.fits[i] = s
+	}
+	if err := ws.looPredictions(ws.eq, c.values); err != nil {
 		return nil, 0, false
 	}
 	return coef, stats.SMAPE(ws.loo, c.values), true

@@ -131,31 +131,44 @@ func FitLine(xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate,
 // — pinned by TestFitLineMatchesReference and TestCombineMatchesReference.
 type fitWorkspace struct {
 	a    *mat.Matrix // n×p design: intercept column + term columns
+	eqm  *mat.Matrix // n×p equilibrated design, row by row
 	gram *mat.Matrix // p×p Gram matrix of the equilibrated design
 	chol *mat.Matrix // p×p Cholesky factor of gram
 	inv  *mat.Matrix // p×p inverse of gram
 	ls   *mat.LeastSquaresWorkspace
-	fits []float64 // in-sample predictions a·coef
-	loo  []float64 // leave-one-out predictions
-	hv   []float64 // inv·a_i scratch for hat values
-	unit []float64 // unit vector for the column-wise Gram inversion
-	col  []float64 // one column of inv
-	z    []float64 // Cholesky forward-solve scratch
+	// Combine's views of its design columns (see designColumns): raw,
+	// equilibrated, and equilibrated and reduced by the intercept's
+	// Householder step; scale holds the raw columns' norms.
+	raw, eq, reduced [][]float64
+	scale            []float64
+	fits             []float64 // in-sample predictions a·coef
+	loo              []float64 // leave-one-out predictions
+	hv               []float64 // inv·a_i scratch for hat values
+	unit             []float64 // unit vector for the column-wise Gram inversion
+	col              []float64 // one column of inv
+	z                []float64 // Cholesky forward-solve scratch
 }
 
 func newFitWorkspace(n, p int) *fitWorkspace {
+	views := make([][]float64, 3*p)
+	f := make([]float64, 2*n+5*p)
 	return &fitWorkspace{
-		a:    mat.New(n, p),
-		gram: mat.New(p, p),
-		chol: mat.New(p, p),
-		inv:  mat.New(p, p),
-		ls:   mat.NewLeastSquaresWorkspace(n, p),
-		fits: make([]float64, n),
-		loo:  make([]float64, n),
-		hv:   make([]float64, p),
-		unit: make([]float64, p),
-		col:  make([]float64, p),
-		z:    make([]float64, p),
+		a:       mat.New(n, p),
+		eqm:     mat.New(n, p),
+		gram:    mat.New(p, p),
+		chol:    mat.New(p, p),
+		inv:     mat.New(p, p),
+		ls:      mat.NewLeastSquaresWorkspace(n, p),
+		raw:     views[:p:p],
+		eq:      views[p : 2*p : 2*p],
+		reduced: views[2*p:],
+		fits:    f[:n:n],
+		loo:     f[n : 2*n : 2*n],
+		scale:   f[2*n : 2*n+p : 2*n+p],
+		hv:      f[2*n+p : 2*n+2*p : 2*n+2*p],
+		unit:    f[2*n+2*p : 2*n+3*p : 2*n+3*p],
+		col:     f[2*n+3*p : 2*n+4*p : 2*n+4*p],
+		z:       f[2*n+4*p:],
 	}
 }
 
@@ -184,28 +197,33 @@ func (ws *fitWorkspace) fitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candi
 	if err != nil {
 		return Candidate{}, false
 	}
-	if err := ws.looPredictions(vs, coef); err != nil {
+	mat.MulVecTo(ws.fits, ws.a, coef)
+	if err := ws.looPredictions(ws.ls.Equilibrated(), vs); err != nil {
 		return Candidate{}, false
 	}
 	return Candidate{Exps: e, C0: coef[0], C1: coef[1], SMAPE: stats.SMAPE(ws.loo, vs)}, true
 }
 
-// looPredictions computes the exact leave-one-out predictions of the
-// design ws.a, just solved by ws.ls, into ws.loo using the hat-matrix
-// identity
+// looPredictions computes the exact leave-one-out predictions of a design
+// just solved into ws.loo, from its in-sample predictions ws.fits and its
+// equilibrated columns eq, using the hat-matrix identity
 //
 //	pred_i = y_i - r_i / (1 - h_ii),  h_ii = a_i^T (A^T A)^{-1} a_i,
 //
-// which avoids refitting per point. coef must be the full-data solution.
-func (ws *fitWorkspace) looPredictions(y, coef []float64) error {
-	n, p := ws.a.Rows(), ws.a.Cols()
-	mat.MulVecTo(ws.fits, ws.a, coef)
+// which avoids refitting per point.
+func (ws *fitWorkspace) looPredictions(eq [][]float64, y []float64) error {
+	n, p := ws.eqm.Rows(), ws.eqm.Cols()
 	// Hat values are invariant under column scaling, so compute them from
 	// the column-equilibrated copy the least-squares solve made: PMNF
 	// designs mix unit intercepts with term columns of enormous magnitude,
 	// which would wreck the Gram solve.
-	eq := ws.ls.Equilibrated()
-	mat.GramTo(ws.gram, eq)
+	e := ws.eqm.Data()
+	for j, col := range eq {
+		for i, v := range col {
+			e[i*p+j] = v
+		}
+	}
+	mat.GramTo(ws.gram, ws.eqm)
 	// Invert the Gram matrix column by column via Cholesky solves.
 	if err := mat.CholeskyTo(ws.chol, ws.gram); err != nil {
 		return err
@@ -219,7 +237,7 @@ func (ws *fitWorkspace) looPredictions(y, coef []float64) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		ai := eq.Row(i)
+		ai := ws.eqm.Row(i)
 		fit := ws.fits[i]
 		mat.MulVecTo(ws.hv, ws.inv, ai)
 		h := mat.Dot(ai, ws.hv)
