@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -228,6 +229,24 @@ func TestDotAndNorm(t *testing.T) {
 	}
 	if x := []float64{3, 4}; Dot(x, x) != 25 {
 		t.Fatal("Dot(x, x) is not the squared norm")
+	}
+	// Norm scales by a power of two, so neither huge nor subnormal entries
+	// overflow or vanish.
+	for _, c := range []struct {
+		x    []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{0, 0}, 0},
+		{[]float64{3, -4}, 5},
+		{[]float64{3e300, 4e300}, 5e300},
+		{[]float64{0x1p1023, 0x1p1023}, 0x1p1023 * math.Sqrt2},
+		{[]float64{3 * 0x1p-1074, 4 * 0x1p-1074}, 5 * 0x1p-1074},
+		{[]float64{math.Inf(-1), 1}, math.Inf(1)},
+	} {
+		if got := Norm(c.x); got != c.want {
+			t.Errorf("Norm(%v) = %v, want %v", c.x, got, c.want)
+		}
 	}
 }
 

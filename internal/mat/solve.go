@@ -22,18 +22,36 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	return NewLeastSquaresWorkspace(a.rows, a.cols).Solve(a, b)
 }
 
-// Norm returns the Euclidean norm of x, accumulated with math.Hypot.
+// Norm returns the Euclidean norm of x, guarded the way LAPACK's dnrm2 is:
+// it finds the largest magnitude first and sums the squares of the entries
+// scaled by the power of two that brings it into [0.5, 1), so no square
+// overflows and none that matters underflows. Scaling by a power of two is
+// exact, so within the range where plain squares are safe the result is
+// bit for bit the plain sum of squares' square root.
 func Norm(x []float64) float64 {
-	norm := 0.0
+	amax := 0.0
 	for _, v := range x {
-		norm = math.Hypot(norm, v)
+		if a := math.Abs(v); a > amax {
+			amax = a
+		}
 	}
-	return norm
+	if amax == 0 || math.IsInf(amax, 1) {
+		return amax
+	}
+	_, e := math.Frexp(amax)
+	// Clamped so that the scale and its effect stay normal numbers.
+	scale := math.Ldexp(1, min(max(-e, -1022), 1023))
+	ss := 0.0
+	for _, v := range x {
+		t := v * scale
+		ss += t * t
+	}
+	return math.Sqrt(ss) / scale
 }
 
-// Reflector is a Householder reflector H = I - 2 v vᵀ / (vᵀ v) of step k:
-// applied to a column it zeroes nothing above row k and, for the column it
-// was built from, everything below it.
+// Reflector is the Householder reflector H = I - 2 v vᵀ / (vᵀ v) of QR
+// step k: it leaves the rows above k of a column alone and zeroes the rows
+// below k of the column it was built from.
 type Reflector struct {
 	k  int
 	v  []float64 // v[k:] is the Householder vector
@@ -70,46 +88,47 @@ func (h *Reflector) Reduce(x []float64, k int) bool {
 
 // Apply overwrites x with H x.
 func (h *Reflector) Apply(x []float64) {
-	v := h.v
-	dot := 0.0
-	for i := h.k; i < len(x); i++ {
-		dot += v[i] * x[i]
-	}
-	f := 2 * dot / h.vv
-	for i := h.k; i < len(x); i++ {
+	v, k := h.v, h.k
+	f := 2 * Dot(v[k:], x[k:]) / h.vv
+	for i := k; i < len(x); i++ {
 		x[i] -= f * v[i]
 	}
 }
 
 // LeastSquaresWorkspace holds the scratch of a rows×cols least-squares
-// solve, so repeated solves of that shape allocate nothing. Its matrices are
-// stored by column: column j of an m-row matrix is data[j*m : (j+1)*m].
+// solve, so repeated solves of that shape allocate nothing. It keeps its
+// matrices as slices of columns, the order in which QR reads them.
 type LeastSquaresWorkspace struct {
 	m, n  int
-	eq    [][]float64 // column-equilibrated copy of A, by column
+	eq    [][]float64 // Solve's column-equilibrated copy of A, made by its first call
 	r     [][]float64 // the design being reduced to R in place, by column
 	y     []float64   // copy of b, reduced to Qᵀ b in place
 	scale []float64   // column norms of A
 	h     *Reflector
-	x     []float64 // solution
+	x     []float64   // solution
+	z     [][]float64 // Leverages' scratch, by column
 }
 
 // NewLeastSquaresWorkspace returns a workspace for rows×cols systems.
 func NewLeastSquaresWorkspace(rows, cols int) *LeastSquaresWorkspace {
-	data := make([]float64, 2*rows*cols)
+	data := make([]float64, (2*cols+1)*rows+2*cols)
+	next := func(n int) []float64 {
+		s := data[:n:n]
+		data = data[n:]
+		return s
+	}
 	w := &LeastSquaresWorkspace{
 		m:     rows,
 		n:     cols,
-		eq:    make([][]float64, cols),
 		r:     make([][]float64, cols),
-		y:     make([]float64, rows),
-		scale: make([]float64, cols),
 		h:     NewReflector(rows),
-		x:     make([]float64, cols),
+		y:     next(rows),
+		scale: next(cols),
+		x:     next(cols),
+		z:     make([][]float64, cols),
 	}
-	for j := 0; j < cols; j++ {
-		w.eq[j] = data[j*rows : (j+1)*rows]
-		w.r[j] = data[(cols+j)*rows : (cols+j+1)*rows]
+	for j := range w.r {
+		w.r[j], w.z[j] = next(rows), next(rows)
 	}
 	return w
 }
@@ -127,6 +146,13 @@ func (w *LeastSquaresWorkspace) Solve(a *Matrix, b []float64) ([]float64, error)
 	if a.rows != w.m || a.cols != w.n {
 		return nil, fmt.Errorf("mat: LeastSquares workspace is %dx%d, system is %dx%d",
 			w.m, w.n, a.rows, a.cols)
+	}
+	if w.eq == nil {
+		data := make([]float64, w.m*w.n)
+		w.eq = make([][]float64, w.n)
+		for j := range w.eq {
+			w.eq[j] = data[j*w.m : (j+1)*w.m : (j+1)*w.m]
+		}
 	}
 	// Column equilibration: PMNF design matrices mix an intercept column of
 	// ones with term columns spanning many orders of magnitude. Scaling each
@@ -204,114 +230,31 @@ func (w *LeastSquaresWorkspace) SolveFrom(k int, cols [][]float64, scale, y []fl
 }
 
 // Equilibrated returns the columns of A from the last successful Solve, each
-// scaled to unit Euclidean norm by Norm. They belong to the workspace and are
-// overwritten by the next Solve.
+// divided by its Norm. They belong to the workspace and are overwritten by
+// the next Solve.
 func (w *LeastSquaresWorkspace) Equilibrated() [][]float64 { return w.eq }
 
-// SolveCholesky solves the symmetric positive-definite system A x = b via
-// Cholesky factorization. It is used for normal-equation solves where the
-// Gram matrix is known to be SPD.
-func SolveCholesky(a *Matrix, b []float64) ([]float64, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("mat: SolveCholesky needs square matrix, got %dx%d", a.rows, a.cols)
+// Leverages writes into h the diagonal of the hat matrix A (AᵀA)⁻¹ Aᵀ of the
+// design of the last successful solve, whose equilibrated columns are eq.
+// With A's column-equilibrated form E = Q R, h[i] = ‖zᵢ‖² for the solution
+// zᵢ of Rᵀ zᵢ = eᵢ, eᵢ the i-th row of E: column scaling leaves the hat
+// matrix unchanged, and R is the triangle the solve already built, so no
+// Gram matrix is formed. The triangular solves of all rows run side by side,
+// one column of Z = R⁻ᵀ Eᵀ at a time. h has one entry per row.
+func (w *LeastSquaresWorkspace) Leverages(h []float64, eq [][]float64) {
+	r, z := w.r, w.z
+	for i := range h {
+		h[i] = 0
 	}
-	if a.rows != len(b) {
-		return nil, fmt.Errorf("mat: SolveCholesky shape mismatch: %d vs %d", a.rows, len(b))
-	}
-	n := a.rows
-	l := New(n, n)
-	if err := CholeskyTo(l, a); err != nil {
-		return nil, err
-	}
-	x := make([]float64, n)
-	CholeskySolveTo(x, make([]float64, n), l, b)
-	return x, nil
-}
-
-// CholeskyTo writes the lower Cholesky factor L (A = L L^T) of the
-// symmetric positive-definite n×n matrix a into l, allocation-free. Only the
-// lower triangle of l is meaningful. ErrSingular reports a matrix that is not
-// numerically positive definite.
-func CholeskyTo(l, a *Matrix) error {
-	n := a.rows
-	if a.cols != n || l.rows != n || l.cols != n {
-		panic(fmt.Sprintf("mat: CholeskyTo needs square %dx%d operands, got %dx%d into %dx%d",
-			n, n, a.rows, a.cols, l.rows, l.cols))
-	}
-	copy(l.data, a.data)
-	// In-place lower Cholesky.
-	for j := 0; j < n; j++ {
-		d := l.data[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= l.data[j*n+k] * l.data[j*n+k]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return ErrSingular
-		}
-		d = math.Sqrt(d)
-		l.data[j*n+j] = d
-		for i := j + 1; i < n; i++ {
-			s := l.data[i*n+j]
+	for j, rj := range r {
+		zj, d := z[j], rj[j]
+		for i := range h {
+			s := eq[j][i]
 			for k := 0; k < j; k++ {
-				s -= l.data[i*n+k] * l.data[j*n+k]
+				s -= rj[k] * z[k][i]
 			}
-			l.data[i*n+j] = s / d
-		}
-	}
-	return nil
-}
-
-// CholeskySolveTo solves L L^T x = b for the factor l from CholeskyTo,
-// writing x into dst and using z (length n) as scratch. Solving one system
-// after CholeskyTo is exactly the arithmetic of SolveCholesky.
-func CholeskySolveTo(dst, z []float64, l *Matrix, b []float64) {
-	n := l.rows
-	// Forward solve L z = b.
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.data[i*n+k] * z[k]
-		}
-		z[i] = s / l.data[i*n+i]
-	}
-	// Backward solve L^T x = z.
-	for i := n - 1; i >= 0; i-- {
-		s := z[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.data[k*n+i] * dst[k]
-		}
-		dst[i] = s / l.data[i*n+i]
-	}
-}
-
-// Gram returns A^T A, the (cols×cols) Gram matrix of A.
-func Gram(a *Matrix) *Matrix {
-	g := New(a.cols, a.cols)
-	GramTo(g, a)
-	return g
-}
-
-// GramTo computes A^T A into g (cols×cols), allocation-free. g is zeroed
-// first; the accumulation order matches Gram exactly, so results are
-// bit-identical.
-func GramTo(g *Matrix, a *Matrix) {
-	n := a.cols
-	if g.rows != n || g.cols != n {
-		panic(fmt.Sprintf("mat: GramTo needs %dx%d dst, got %dx%d", n, n, g.rows, g.cols))
-	}
-	for i := range g.data {
-		g.data[i] = 0
-	}
-	for i := 0; i < a.rows; i++ {
-		ri := a.data[i*n : (i+1)*n]
-		for p, vp := range ri {
-			if vp == 0 {
-				continue
-			}
-			gp := g.data[p*n : (p+1)*n]
-			for q, vq := range ri {
-				gp[q] += vp * vq
-			}
+			zj[i] = s / d
+			h[i] += zj[i] * zj[i]
 		}
 	}
 }

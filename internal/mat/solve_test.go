@@ -144,121 +144,3 @@ func TestLeastSquaresWorkspaceReuse(t *testing.T) {
 		t.Fatal("expected error for a system of another shape")
 	}
 }
-
-// One CholeskyTo factor reused for several right-hand sides must give what
-// SolveCholesky gives for each, bit for bit.
-func TestCholeskyFactorMatchesSolveCholesky(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const n = 4
-	l, x, z := New(n, n), make([]float64, n), make([]float64, n)
-	for trial := 0; trial < 10; trial++ {
-		g := New(6, n)
-		for i := range g.Data() {
-			g.Data()[i] = rng.NormFloat64()
-		}
-		a := Gram(g)
-		if err := CholeskyTo(l, a); err != nil {
-			t.Fatal(err)
-		}
-		for rhs := 0; rhs < 3; rhs++ {
-			b := make([]float64, n)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			want, err := SolveCholesky(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			CholeskySolveTo(x, z, l, b)
-			for i := range want {
-				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("trial %d: x = %v, SolveCholesky x = %v", trial, x, want)
-				}
-			}
-		}
-	}
-	if err := CholeskyTo(New(2, 2), New(2, 2)); err != ErrSingular {
-		t.Fatalf("zero matrix: err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveCholeskySPD(t *testing.T) {
-	// A = G^T G + I is SPD.
-	rng := rand.New(rand.NewSource(7))
-	g := New(4, 4)
-	for i := range g.Data() {
-		g.Data()[i] = rng.NormFloat64()
-	}
-	a := Gram(g)
-	for i := 0; i < 4; i++ {
-		a.Set(i, i, a.At(i, i)+1)
-	}
-	want := []float64{1, -2, 0.5, 3}
-	b := MulVec(a, want)
-	got, err := SolveCholesky(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-8 {
-			t.Fatalf("x = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSolveCholeskyNotSPD(t *testing.T) {
-	a := NewFromRows([][]float64{{0, 0}, {0, 0}})
-	if _, err := SolveCholesky(a, []float64{1, 1}); err == nil {
-		t.Fatal("expected error for non-SPD matrix")
-	}
-}
-
-func TestSolveCholeskyNotSquare(t *testing.T) {
-	if _, err := SolveCholesky(New(2, 3), []float64{1, 2}); err == nil {
-		t.Fatal("expected error for non-square matrix")
-	}
-}
-
-func TestGramMatchesDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := New(5, 3)
-	for i := range a.Data() {
-		a.Data()[i] = rng.NormFloat64()
-	}
-	if !Gram(a).Equal(Mul(a.T(), a), 1e-10) {
-		t.Fatal("Gram(A) != A^T A")
-	}
-}
-
-// Property: QR least squares and normal-equation Cholesky agree on
-// well-conditioned problems.
-func TestSolversAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := 8+rng.Intn(8), 2+rng.Intn(3)
-		a := New(m, n)
-		for i := range a.Data() {
-			a.Data()[i] = rng.NormFloat64() + 2 // keep away from singularity
-		}
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x1, err1 := LeastSquares(a, b)
-		g := Gram(a)
-		atb := MulVec(a.T(), b)
-		x2, err2 := SolveCholesky(g, atb)
-		if err1 != nil || err2 != nil {
-			return true
-		}
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-6*(1+math.Abs(x1[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

@@ -97,14 +97,13 @@ type combiner struct {
 	values   []float64 // median value per point
 	perParam [][]Candidate
 	sel      []int // selected candidate index per parameter
-	// cols[l][c][i] is perParam[l][c].Exps.Eval(points[i][l]), evaluated
-	// once per call; nil for constant candidates.
-	cols [][][]float64
 	// A term's design column is identified by a mixed-radix number, the
 	// sum of place[l][sel[l]] over the parameters l of its block. Parameter
 	// l's digit is 0 for a constant candidate and otherwise the candidate's
 	// 1-based rank among l's non-constant ones, so terms whose non-constant
 	// factors agree share the number and the column; 0 is the intercept.
+	// The column of a non-constant candidate c alone, place[l][c], holds
+	// perParam[l][c].Exps.Eval(points[i][l]) at i.
 	place  [][]int
 	design *designColumns
 	ws     []*fitWorkspace // by coefficient count, created on first use
@@ -115,13 +114,23 @@ type combiner struct {
 	best   Result
 }
 
-// newCombiner evaluates the column cache; partitions sizes the set of seen
-// structures.
+// newCombiner builds the intercept and the factor columns; partitions sizes
+// the set of seen structures.
 func newCombiner(points []measurement.Point, values []float64, perParam [][]Candidate, partitions int) *combiner {
 	m, n := len(perParam), len(points)
-	tries := partitions
+	// columns is the number of distinct term columns: ∏(kₗ+1) over the
+	// parameters' counts kₗ of non-constant candidates.
+	tries, candidates, columns := partitions, 0, 1
 	for _, cands := range perParam {
 		tries *= len(cands)
+		candidates += len(cands)
+		nonConstant := 0
+		for _, cand := range cands {
+			if !cand.Exps.IsConstant() {
+				nonConstant++
+			}
+		}
+		columns *= nonConstant + 1
 	}
 	c := &combiner{
 		m:        m,
@@ -129,20 +138,16 @@ func newCombiner(points []measurement.Point, values []float64, perParam [][]Cand
 		values:   values,
 		perParam: perParam,
 		sel:      make([]int, m),
-		cols:     make([][][]float64, m),
 		place:    make([][]int, m),
 		ws:       make([]*fitWorkspace, m+2),
 		seen:     make(map[string]struct{}, 1+tries),
 		best:     Result{SMAPE: math.Inf(1)},
 	}
-	candidates := 0
-	for _, cands := range perParam {
-		candidates += len(cands)
-	}
+	c.design = newDesignColumns(n, columns, values)
+	// Each candidate is evaluated once, as its single-factor column.
 	places := make([]int, candidates)
-	columns := 1
+	radix := 1
 	for l, cands := range perParam {
-		c.cols[l] = make([][]float64, len(cands))
 		c.place[l], places = places[:len(cands):len(cands)], places[len(cands):]
 		d := 0
 		for k, cand := range cands {
@@ -150,22 +155,23 @@ func newCombiner(points []measurement.Point, values []float64, perParam [][]Cand
 				continue
 			}
 			d++
-			c.place[l][k] = d * columns
-			col := make([]float64, n)
+			id := d * radix
+			c.place[l][k] = id
+			col := c.design.alloc(id, n)
 			for i, pt := range points {
 				col[i] = cand.Exps.Eval(pt[l])
 			}
-			c.cols[l][k] = col
+			c.design.finish(id)
 		}
-		columns *= d + 1
+		radix *= d + 1
 	}
-	c.design = newDesignColumns(n, columns, values)
 	return c
 }
 
 // designColumns is the store of the distinct design columns of one Combine
-// call, each built on first use and shared by every structure that has it.
-// For column id it keeps the raw column, its norm (the equilibration
+// call, each built once and shared by every structure that has it: the
+// intercept and the single-factor columns up front, the products of factors
+// on first use. For column id it keeps the raw column, its norm (the equilibration
 // scale), the equilibrated column and that column reduced by the first
 // Householder step of the QR. That step depends only on the intercept,
 // which every structure has as its first column, so it is built once per
@@ -179,7 +185,8 @@ type designColumns struct {
 }
 
 // newDesignColumns allocates room for n-point columns with ids below
-// columns and builds the intercept, id 0.
+// columns, exactly the number of distinct term columns a Combine call can
+// build, and builds the intercept, id 0.
 func newDesignColumns(n, columns int, values []float64) *designColumns {
 	views := make([][]float64, 3*columns)
 	arena := make([]float64, columns+(3*columns+1)*n)
@@ -249,14 +256,14 @@ func (c *combiner) column(block []int) int {
 	col := d.alloc(id, c.n)
 	started := false
 	for _, l := range block {
-		f := c.cols[l][c.sel[l]]
+		f := c.place[l][c.sel[l]]
 		switch {
-		case f == nil:
+		case f == 0: // a constant factor
 		case !started:
-			copy(col, f)
+			copy(col, d.raw[f])
 			started = true
 		default:
-			for i, v := range f {
+			for i, v := range d.raw[f] {
 				col[i] *= v
 			}
 		}
@@ -314,17 +321,16 @@ func (c *combiner) fitTerms(terms [][]int) (coef []float64, smape float64, ok bo
 	if err != nil {
 		return nil, 0, false
 	}
-	// The in-sample predictions, in mat.MulVecTo's order.
+	// The in-sample predictions, each summed in mat.MulVecTo's order.
 	for i := range ws.fits {
-		s := 0.0
-		for j, col := range ws.raw {
-			s += col[i] * coef[j]
+		ws.fits[i] = 0
+	}
+	for j, col := range ws.raw {
+		for i, v := range col {
+			ws.fits[i] += v * coef[j]
 		}
-		ws.fits[i] = s
 	}
-	if err := ws.looPredictions(ws.eq, c.values); err != nil {
-		return nil, 0, false
-	}
+	ws.looPredictions(ws.eq, c.values)
 	return coef, stats.SMAPE(ws.loo, c.values), true
 }
 

@@ -2,11 +2,14 @@ package regression
 
 // Combine must stay bit-identical to the straightforward implementation it
 // replaced: refCombine below is that original code (Combine, fitTerms and
-// modelKey), retained verbatim as the executable specification. The fast
-// path evaluates every (parameter, exponent) column once per call, keys term
-// structures by Float64bits and fits in one workspace per coefficient count;
-// any change of floating-point order or of which duplicate structure is
-// fitted first shows up here as a bit mismatch.
+// modelKey), retained verbatim as the executable specification, except that
+// it solves and takes its hat values through mat.LeastSquaresWorkspace, as
+// refFitHypothesis does. The fast path evaluates every (parameter, exponent)
+// column once per call, builds every distinct term column once, shares the
+// intercept's Householder step, keys term structures by Float64bits and fits
+// in one workspace per coefficient count; any change of floating-point order,
+// of the columns or of which duplicate structure is fitted first shows up
+// here as a bit mismatch.
 
 import (
 	"errors"
@@ -105,7 +108,8 @@ func refCombine(set *measurement.Set, perParam [][]Candidate) (Result, error) {
 }
 
 // refFitTerms is the pre-workspace fitTerms: a fresh design matrix per
-// structure, every term column evaluated from scratch, allocating LOO.
+// structure, every term column evaluated from scratch, a QR from the first
+// step, allocating LOO.
 func refFitTerms(points []measurement.Point, values []float64, terms [][]pmnf.Exponents, m int) (Result, error) {
 	n := len(points)
 	p := 1 + len(terms)
@@ -125,14 +129,12 @@ func refFitTerms(points []measurement.Point, values []float64, terms [][]pmnf.Ex
 			a.Set(i, t+1, prod)
 		}
 	}
-	coef, err := mat.LeastSquares(a, values)
+	ls := mat.NewLeastSquaresWorkspace(n, p)
+	coef, err := ls.Solve(a, values)
 	if err != nil {
 		return Result{}, err
 	}
-	loo, err := looPredictions(a, values, coef)
-	if err != nil {
-		return Result{}, err
-	}
+	loo := looPredictions(ls, a, values, coef)
 	model := pmnf.Model{Constant: coef[0]}
 	for t, exps := range terms {
 		e := make([]pmnf.Exponents, m)

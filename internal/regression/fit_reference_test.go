@@ -3,8 +3,11 @@ package regression
 // The workspace-based hypothesis fitter (fitWorkspace.fitHypothesis) must
 // stay bit-identical to the straightforward allocating implementation it
 // replaced: refFitHypothesis below is that original code, retained verbatim
-// as the executable specification. Any reordering of floating-point
-// accumulation in the fast path shows up here as a bit mismatch.
+// as the executable specification, except that it solves and takes its hat
+// values through mat.LeastSquaresWorkspace (Solve, Leverages), the one
+// least-squares arithmetic, whose accuracy TestFitOracle in internal/mat
+// pins. Any reordering of floating-point accumulation in the fast path
+// shows up here as a bit mismatch.
 
 import (
 	"math"
@@ -37,14 +40,12 @@ func refFitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candidate, bool) {
 		a.Set(i, 0, 1)
 		a.Set(i, 1, e.Eval(x))
 	}
-	coef, err := mat.LeastSquares(a, vs)
+	ls := mat.NewLeastSquaresWorkspace(n, 2)
+	coef, err := ls.Solve(a, vs)
 	if err != nil {
 		return Candidate{}, false
 	}
-	loo, err := looPredictions(a, vs, coef)
-	if err != nil {
-		return Candidate{}, false
-	}
+	loo := looPredictions(ls, a, vs, coef)
 	return Candidate{Exps: e, C0: coef[0], C1: coef[1], SMAPE: stats.SMAPE(loo, vs)}, true
 }
 
@@ -54,35 +55,18 @@ func refFitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candidate, bool) {
 //
 //	pred_i = y_i - r_i / (1 - h_ii),  h_ii = a_i^T (A^T A)^{-1} a_i.
 //
-// coef must be the full-data solution.
-func looPredictions(a *mat.Matrix, y, coef []float64) ([]float64, error) {
-	n, p := a.Rows(), a.Cols()
-	// Hat values are invariant under column scaling, so compute them from a
-	// column-equilibrated copy: PMNF designs mix unit intercepts with term
-	// columns of enormous magnitude, which would wreck the Gram solve.
+// ls must have just solved a for the full-data solution coef. The hat
+// values come from mat's helper, the one arithmetic for them; the oracle in
+// internal/mat pins that helper's accuracy.
+func looPredictions(ls *mat.LeastSquaresWorkspace, a *mat.Matrix, y, coef []float64) []float64 {
+	n := a.Rows()
 	fits := mat.MulVec(a, coef)
-	a = equilibrated(a)
-	gram := mat.Gram(a)
-	// Invert the Gram matrix column by column via Cholesky solves.
-	inv := mat.New(p, p)
-	unit := make([]float64, p)
-	for j := 0; j < p; j++ {
-		unit[j] = 1
-		col, err := mat.SolveCholesky(gram, unit)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < p; i++ {
-			inv.Set(i, j, col[i])
-		}
-		unit[j] = 0
-	}
+	hat := make([]float64, n)
+	ls.Leverages(hat, ls.Equilibrated())
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
-		ai := a.Row(i)
 		fit := fits[i]
-		h := mat.Dot(ai, mat.MulVec(inv, ai))
-		den := 1 - h
+		den := 1 - hat[i]
 		if den < 1e-10 {
 			// The point fully determines its own fit; fall back to the
 			// in-sample prediction (the hypothesis is too flexible for LOO).
@@ -91,26 +75,7 @@ func looPredictions(a *mat.Matrix, y, coef []float64) ([]float64, error) {
 		}
 		out[i] = y[i] - (y[i]-fit)/den
 	}
-	return out, nil
-}
-
-// equilibrated returns a copy of a with each column scaled to unit norm.
-func equilibrated(a *mat.Matrix) *mat.Matrix {
-	c := a.Clone()
-	n, p := c.Rows(), c.Cols()
-	for j := 0; j < p; j++ {
-		norm := 0.0
-		for i := 0; i < n; i++ {
-			norm = math.Hypot(norm, c.At(i, j))
-		}
-		if norm == 0 {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			c.Set(i, j, c.At(i, j)/norm)
-		}
-	}
-	return c
+	return out
 }
 
 func sameBits(a, b float64) bool {

@@ -120,55 +120,39 @@ func FitLine(xs, vs []float64, classes []pmnf.Exponents, topK int) ([]Candidate,
 // fitWorkspace holds the buffers of n×p least-squares fits scored by
 // leave-one-out cross-validation. One workspace serves the whole class loop
 // of a FitLine call (p = 2) and every structure with p coefficients of a
-// Combine call: the design matrix, the QR scratch (which keeps the
-// column-equilibrated design), the Gram matrix, its Cholesky factor and
-// inverse and the fit/LOO vectors are written in place per fit instead of
-// reallocated, and all n leave-one-out folds share one fit through the
-// hat-matrix identity. Every accumulation runs in the same order as the
-// allocating code it replaces (mat.MulVecTo vs MulVec, mat.GramTo vs Gram,
-// the solve's equilibrated copy vs a second equilibration, one Cholesky
-// factor vs one SolveCholesky per column), so the results are bit-identical
-// — pinned by TestFitLineMatchesReference and TestCombineMatchesReference.
+// Combine call, so no fit allocates. A FitLine fit writes its design into a
+// and solves it from scratch; a Combine fit points raw, eq and reduced at
+// the call's shared design columns and carries the QR on from its second
+// step. Either way the n leave-one-out folds share the one fit through the
+// hat-matrix identity, with the hat values taken from the solve's
+// triangular factor. TestFitLineMatchesReference and
+// TestCombineMatchesReference pin both paths, bit for bit, to the
+// straightforward allocating code.
 type fitWorkspace struct {
-	a    *mat.Matrix // n×p design: intercept column + term columns
-	eqm  *mat.Matrix // n×p equilibrated design, row by row
-	gram *mat.Matrix // p×p Gram matrix of the equilibrated design
-	chol *mat.Matrix // p×p Cholesky factor of gram
-	inv  *mat.Matrix // p×p inverse of gram
-	ls   *mat.LeastSquaresWorkspace
-	// Combine's views of its design columns (see designColumns): raw,
-	// equilibrated, and equilibrated and reduced by the intercept's
-	// Householder step; scale holds the raw columns' norms.
+	a  *mat.Matrix // n×2 design of a FitLine fit, made by its first fit
+	ls *mat.LeastSquaresWorkspace
+	// A Combine fit's design columns (see designColumns): raw, equilibrated,
+	// and equilibrated and reduced by the intercept's Householder step;
+	// scale holds the raw columns' norms.
 	raw, eq, reduced [][]float64
 	scale            []float64
 	fits             []float64 // in-sample predictions a·coef
+	hat              []float64 // hat values
 	loo              []float64 // leave-one-out predictions
-	hv               []float64 // inv·a_i scratch for hat values
-	unit             []float64 // unit vector for the column-wise Gram inversion
-	col              []float64 // one column of inv
-	z                []float64 // Cholesky forward-solve scratch
 }
 
 func newFitWorkspace(n, p int) *fitWorkspace {
 	views := make([][]float64, 3*p)
-	f := make([]float64, 2*n+5*p)
+	f := make([]float64, 3*n+p)
 	return &fitWorkspace{
-		a:       mat.New(n, p),
-		eqm:     mat.New(n, p),
-		gram:    mat.New(p, p),
-		chol:    mat.New(p, p),
-		inv:     mat.New(p, p),
 		ls:      mat.NewLeastSquaresWorkspace(n, p),
 		raw:     views[:p:p],
 		eq:      views[p : 2*p : 2*p],
 		reduced: views[2*p:],
-		fits:    f[:n:n],
-		loo:     f[n : 2*n : 2*n],
-		scale:   f[2*n : 2*n+p : 2*n+p],
-		hv:      f[2*n+p : 2*n+2*p : 2*n+2*p],
-		unit:    f[2*n+2*p : 2*n+3*p : 2*n+3*p],
-		col:     f[2*n+3*p : 2*n+4*p : 2*n+4*p],
-		z:       f[2*n+4*p:],
+		scale:   f[:p:p],
+		fits:    f[p : p+n : p+n],
+		hat:     f[p+n : p+2*n : p+2*n],
+		loo:     f[p+2*n:],
 	}
 }
 
@@ -189,6 +173,9 @@ func (ws *fitWorkspace) fitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candi
 		}
 		return Candidate{Exps: e, C0: total / float64(n), SMAPE: stats.SMAPE(loo, vs)}, true
 	}
+	if ws.a == nil {
+		ws.a = mat.New(n, 2)
+	}
 	for i, x := range xs {
 		ws.a.Set(i, 0, 1)
 		ws.a.Set(i, 1, e.Eval(x))
@@ -198,49 +185,21 @@ func (ws *fitWorkspace) fitHypothesis(xs, vs []float64, e pmnf.Exponents) (Candi
 		return Candidate{}, false
 	}
 	mat.MulVecTo(ws.fits, ws.a, coef)
-	if err := ws.looPredictions(ws.ls.Equilibrated(), vs); err != nil {
-		return Candidate{}, false
-	}
+	ws.looPredictions(ws.ls.Equilibrated(), vs)
 	return Candidate{Exps: e, C0: coef[0], C1: coef[1], SMAPE: stats.SMAPE(ws.loo, vs)}, true
 }
 
-// looPredictions computes the exact leave-one-out predictions of a design
-// just solved into ws.loo, from its in-sample predictions ws.fits and its
-// equilibrated columns eq, using the hat-matrix identity
+// looPredictions computes the exact leave-one-out predictions of the
+// design just solved by ws.ls into ws.loo, from its in-sample predictions
+// ws.fits and its equilibrated columns eq, using the hat-matrix identity
 //
 //	pred_i = y_i - r_i / (1 - h_ii),  h_ii = a_i^T (A^T A)^{-1} a_i,
 //
 // which avoids refitting per point.
-func (ws *fitWorkspace) looPredictions(eq [][]float64, y []float64) error {
-	n, p := ws.eqm.Rows(), ws.eqm.Cols()
-	// Hat values are invariant under column scaling, so compute them from
-	// the column-equilibrated copy the least-squares solve made: PMNF
-	// designs mix unit intercepts with term columns of enormous magnitude,
-	// which would wreck the Gram solve.
-	e := ws.eqm.Data()
-	for j, col := range eq {
-		for i, v := range col {
-			e[i*p+j] = v
-		}
-	}
-	mat.GramTo(ws.gram, ws.eqm)
-	// Invert the Gram matrix column by column via Cholesky solves.
-	if err := mat.CholeskyTo(ws.chol, ws.gram); err != nil {
-		return err
-	}
-	for j := 0; j < p; j++ {
-		ws.unit[j] = 1
-		mat.CholeskySolveTo(ws.col, ws.z, ws.chol, ws.unit)
-		ws.unit[j] = 0
-		for i := 0; i < p; i++ {
-			ws.inv.Set(i, j, ws.col[i])
-		}
-	}
-	for i := 0; i < n; i++ {
-		ai := ws.eqm.Row(i)
+func (ws *fitWorkspace) looPredictions(eq [][]float64, y []float64) {
+	ws.ls.Leverages(ws.hat, eq)
+	for i, h := range ws.hat {
 		fit := ws.fits[i]
-		mat.MulVecTo(ws.hv, ws.inv, ai)
-		h := mat.Dot(ai, ws.hv)
 		den := 1 - h
 		if den < 1e-10 {
 			// The point fully determines its own fit; fall back to the
@@ -250,7 +209,6 @@ func (ws *fitWorkspace) looPredictions(eq [][]float64, y []float64) error {
 		}
 		ws.loo[i] = y[i] - (y[i]-fit)/den
 	}
-	return nil
 }
 
 // Model builds a performance model for a measurement set with any number of

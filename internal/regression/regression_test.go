@@ -138,14 +138,12 @@ func TestLooPredictionsMatchExplicitRefit(t *testing.T) {
 		a.Set(i, 1, float64(i+1))
 		y[i] = 2 + 3*float64(i+1) + rng.NormFloat64()
 	}
-	coef, err := mat.LeastSquares(a, y)
+	ls := mat.NewLeastSquaresWorkspace(n, 2)
+	coef, err := ls.Solve(a, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loo, err := looPredictions(a, y, coef)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loo := looPredictions(ls, a, y, coef)
 	// Explicit refit leaving out point i.
 	for i := 0; i < n; i++ {
 		sub := mat.New(n-1, 2)

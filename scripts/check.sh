@@ -68,6 +68,10 @@ echo "==> float32 parity gate (SIMD kernels, float64 kernel bit identity, f32 tr
 go test -count=1 -run 'TestSIMDKernelParity|TestSIMDKernelDeterminism|TestTanh32sMatchesScalar|TestKernelBitIdentity' ./internal/mat/
 go test -count=1 -run 'TestTrainFloat32ParityWithFloat64|TestInferSessionFloat32Parity|TestTopKBatchMatchesTopK|TestDefaultPrecisionGoldenWeights' ./internal/nn/
 
+echo "==> fit-numerics gate (least squares, hat values and LOO SMAPE against a 256-bit oracle; hypothesis-search reference pins; allocation ceilings)"
+go test -count=1 -run '^TestFitOracle$' ./internal/mat/
+go test -count=1 -run '^(TestCombineMatchesReference|TestCombineMatchesReferenceEdgeCases|TestFitLineMatchesReference|TestCombineAllocations|TestModelAllocations)$' ./internal/regression/
+
 echo "==> batched-inference allocation gate (InferSession steady state => zero allocations)"
 go test -count=1 -run 'TestInferSessionZeroAlloc|TestTopKBatchZeroAlloc' ./internal/nn/
 
